@@ -21,8 +21,12 @@ LinearCosts::LinearCosts(std::vector<double> base_s, std::vector<double> per_sha
   }
   if (shard_size_ == 0) throw std::invalid_argument("LinearCosts: zero shard size");
   for (std::size_t j = 0; j < base_s_.size(); ++j) {
-    if (!(base_s_[j] >= 0.0) || !(per_shard_s_[j] >= 0.0)) {
-      throw std::invalid_argument("LinearCosts: negative or NaN cost coefficients");
+    // Finite too: the planners' selection kernel orders marginal costs, and
+    // inf - inf would hand it a NaN key.
+    if (!(base_s_[j] >= 0.0) || !(per_shard_s_[j] >= 0.0) ||
+        !std::isfinite(base_s_[j]) || !std::isfinite(per_shard_s_[j])) {
+      throw std::invalid_argument(
+          "LinearCosts: negative, NaN or infinite cost coefficients");
     }
     total_capacity_ += capacity_[j];
     if (capacity_[j] > 0) lo_cost_ = std::min(lo_cost_, cost(j, 1));

@@ -7,7 +7,7 @@
 // what lets the bucketed Fed-LBAP binary search run in O(n log B).
 //
 // Rows are non-decreasing in k (Property 1) because per_shard_s is validated
-// non-negative at construction.
+// non-negative at construction; both coefficients must also be finite.
 //
 // An optional *energy model* rides along on the same affine form:
 // energy(j, k) = base_wh[j] + per_shard_wh[j] * k for k >= 1 (0 when idle),

@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "common/json.hpp"
 #include "sched/bucketed.hpp"
+#include "sched/weighted_cut.hpp"
 
 namespace fedsched::sched {
-
-namespace {
-
-struct Bid {
-  double marginal_wh;
-  std::uint32_t user;
-  bool operator>(const Bid& o) const {
-    if (marginal_wh != o.marginal_wh) return marginal_wh > o.marginal_wh;
-    return user > o.user;  // min-heap: lowest client id wins ties
-  }
-};
-
-using BidHeap = std::priority_queue<Bid, std::vector<Bid>, std::greater<Bid>>;
-
-}  // namespace
 
 MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards,
                               const MinEnergyConfig& config,
@@ -64,10 +49,15 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n, 0);
 
-  // Per-client cap under the current constraint set, and the greedy loop
-  // shared by the capped pass and the relaxed pass. A busy client's marginal
-  // is its constant per-shard slope, so one heap entry per client is live at
-  // a time and each pop is the global argmin.
+  // Per-client cap under the current constraint set, and the greedy shared
+  // by the capped pass and the relaxed pass. The greedy gives each shard to
+  // the client with the smallest marginal energy, lowest id on ties. A
+  // client that wins at bid b bids per_shard_energy_wh(j) next, and that is
+  // <= b: an opening bid is energy(j, 1) = base + slope, base >= 0 and
+  // rounding is monotone. So the winner keeps winning until its cap closes,
+  // and the greedy fills whole clients in (opening bid, id) order: the
+  // client at which the cumulative free capacity reaches `want` takes the
+  // remainder, and one weighted cut finds it.
   std::vector<std::size_t> cap(n);
   const auto fill_caps = [&](bool timed) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -77,26 +67,26 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
     }
   };
   const auto greedy = [&](std::size_t want) {
-    BidHeap heap;
+    std::vector<CutRecord> bids;
+    bids.reserve(n);
+    std::size_t spare = 0;
     for (std::size_t j = 0; j < n; ++j) {
       if (shards[j] >= cap[j]) continue;
-      const double marginal = shards[j] == 0
-                                  ? costs.energy(j, 1)
-                                  : costs.per_shard_energy_wh(j);
-      heap.push({marginal, static_cast<std::uint32_t>(j)});
+      const double bid = shards[j] == 0 ? costs.energy(j, 1)
+                                        : costs.per_shard_energy_wh(j);
+      bids.push_back({bid, static_cast<std::uint32_t>(j),
+                      static_cast<std::uint32_t>(cap[j] - shards[j])});
+      spare += cap[j] - shards[j];
     }
-    std::size_t placed = 0;
-    while (placed < want && !heap.empty()) {
-      const Bid top = heap.top();
-      heap.pop();
-      const std::size_t j = top.user;
-      ++shards[j];
-      ++placed;
-      ++result.steps;
-      if (shards[j] < cap[j]) {
-        heap.push({costs.per_shard_energy_wh(j), static_cast<std::uint32_t>(j)});
-      }
+    std::size_t filled = bids.size();
+    if (want < spare) {
+      const WeightedCut cut = weighted_cut(bids, want);
+      filled = cut.index;
+      shards[bids[cut.index].user] += want - cut.weight_before;
     }
+    for (std::size_t i = 0; i < filled; ++i) shards[bids[i].user] += bids[i].weight;
+    const std::size_t placed = std::min(want, spare);
+    result.steps += placed;
     return placed;
   };
 

@@ -23,7 +23,10 @@
 // reported as relaxed_shards. Battery and capacity caps are never relaxed;
 // infeasibility against those throws, mirroring the other schedulers.
 //
-// Complexity: O(n log B) for the probe plus O(D log n) greedy steps.
+// The greedy fills whole clients in order of their opening bids (a client
+// that wins keeps winning until its cap closes), so each pass is one
+// weighted cut (sched/weighted_cut.hpp). Complexity: the probe's
+// fed_lbap_bucketed plus O(n) expected per pass.
 
 #include <cstddef>
 

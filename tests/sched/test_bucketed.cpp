@@ -108,6 +108,8 @@ TEST(LinearCosts, Validation) {
   EXPECT_THROW(LinearCosts({}, {}, {}, 1), std::invalid_argument);
   EXPECT_THROW(LinearCosts({1.0}, {1.0, 2.0}, {1}, 1), std::invalid_argument);
   EXPECT_THROW(LinearCosts({1.0}, {-1.0}, {1}, 1), std::invalid_argument);
+  EXPECT_THROW(LinearCosts({HUGE_VAL}, {1.0}, {1}, 1), std::invalid_argument);
+  EXPECT_THROW(LinearCosts({1.0}, {HUGE_VAL}, {1}, 1), std::invalid_argument);
   EXPECT_THROW(LinearCosts({1.0}, {1.0}, {1}, 0), std::invalid_argument);
   EXPECT_THROW(LinearCosts({1.0}, {1.0}, {0}, 1), std::invalid_argument);
 }
