@@ -22,7 +22,10 @@ namespace fs = std::filesystem;
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "fedsched_ckpt_corruption";
+    // One directory per test: ctest runs the cases as parallel processes.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           (std::string("fedsched_ckpt_corruption_") + info->name());
     fs::create_directories(dir_);
     path_ = (dir_ / "run.ckpt").string();
     save_checkpoint(make_state(), path_);

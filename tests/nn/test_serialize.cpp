@@ -13,7 +13,10 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fedsched_serialize_test";
+    // One directory per test: ctest runs the cases as parallel processes.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("fedsched_serialize_test_") + info->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
