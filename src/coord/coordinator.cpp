@@ -115,6 +115,21 @@ bool Coordinator::head_dispatchable() const {
          config_.max_resident_clients;
 }
 
+void Coordinator::evict_sessions_over_budget() {
+  // Parked sessions all belong to queued runs. Evict from the back of the
+  // queue: those runs step last, so their sessions would idle longest.
+  for (auto it = ready_.rbegin();
+       it != ready_.rend() &&
+       running_resident_ + held_resident_ > config_.max_resident_clients;
+       ++it) {
+    Entry& e = runs_.at(*it);
+    if (e.session == nullptr) continue;
+    e.session.reset();
+    held_resident_ -= e.spec.resident_clients();
+    metrics_.add("coord.sessions_evicted");
+  }
+}
+
 void Coordinator::emit(const common::JsonObject& event) { trace_.write(event); }
 
 void Coordinator::enter_crashed_state() {
@@ -139,11 +154,14 @@ void Coordinator::worker_loop(std::size_t worker_index) {
     const RunSpec spec = entry.spec;  // stable copy for the unlocked step
     const std::size_t round = entry.rounds_completed;
     const std::size_t resident = spec.resident_clients();
+    std::unique_ptr<FleetSession> session = std::move(entry.session);
+    if (session != nullptr) held_resident_ -= resident;
     const std::uint64_t token = next_token_++;
     inflight_.emplace(
         token, InFlight{id, resident, std::chrono::steady_clock::now()});
     ++running_;
     running_resident_ += resident;
+    evict_sessions_over_budget();
     metrics_.add("coord.steps");
     {
       common::JsonObject ev;
@@ -179,19 +197,23 @@ void Coordinator::worker_loop(std::size_t worker_index) {
         done = out.done;
         if (done) result_json = train_result_json(spec.train, out.result);
       } else {
-        FleetStepOutcome out =
-            run_fleet_step(spec.fleet, ckpt, trace, round, &chaos_);
+        if (session == nullptr) {
+          session = std::make_unique<FleetSession>(
+              FleetSession::open(spec.fleet, ckpt, trace, round));
+        }
+        FleetStepOutcome out = session->step(round, &chaos_);
         completed = out.rounds_completed;
         done = out.done;
-        if (done) {
-          result_json = fleet_result_json(spec.fleet, load_fleet_summaries(ckpt));
-        }
+        if (done) result_json = fleet_result_json(spec.fleet, session->summaries());
       }
     } catch (const chaos::ChaosCrash&) {
       crashed = true;
     } catch (const std::exception& ex) {
       error = ex.what();
     }
+    // Only a session that just stepped successfully stays valid for the next
+    // round; a finished run has no next round.
+    if (!error.empty() || done) session.reset();
 
     lock.lock();
     if (crashed) {
@@ -251,6 +273,11 @@ void Coordinator::worker_loop(std::size_t worker_index) {
       } else {
         after.status = RunStatus::kCheckpointed;
         ready_.push_back(id);
+        if (session != nullptr) {
+          after.session = std::move(session);
+          held_resident_ += resident;
+          evict_sessions_over_budget();
+        }
       }
     }
     work_cv_.notify_all();

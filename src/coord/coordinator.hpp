@@ -21,6 +21,16 @@
 // client budget across in-flight steps (head-of-queue order, so admission
 // order is completion-capacity order).
 //
+// Resident fleet sessions: a fleet run's FleetSession (coord/fleet_job.hpp)
+// stays in its run slot between steps, so a step reads no checkpoint. A
+// worker moves the session out at dispatch and back only with a successful,
+// unfinished outcome; failure, a watchdog kill, a chaos crash, or completion
+// drop it. Parked sessions count against max_resident_clients together with
+// in-flight steps. Dispatch never waits for them: when a dispatch or a
+// finished step would overrun the budget, parked sessions are evicted from
+// the back of the ready queue, and those runs restore from their FSF2
+// checkpoint at their next step.
+//
 // The wire entry point is handle_frame(): decode (hardened, coord/wire.hpp)
 // happens strictly before dispatch, so a malformed frame provably cannot
 // change coordinator state — it yields an {"ok":false,...} reply frame.
@@ -42,6 +52,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -56,11 +67,14 @@
 
 namespace fedsched::coord {
 
+class FleetSession;
+
 struct CoordinatorConfig {
   std::string root;                    // registry directory (required)
   std::size_t workers = 2;             // worker threads (min 1)
   std::size_t max_concurrent_rounds = 2;   // steps in flight at once
-  std::size_t max_resident_clients = 1'000'000;  // summed over in-flight steps
+  /// Summed over in-flight steps and resident fleet sessions.
+  std::size_t max_resident_clients = 1'000'000;
   std::size_t max_queued_runs = 16;    // admitted runs awaiting a worker
   /// Coordinator operations trace (coord_admit / coord_reject /
   /// coord_round_dispatch JSONL). Empty = disabled. This is an operational
@@ -162,6 +176,9 @@ class Coordinator {
     RunStatus status = RunStatus::kAdmitted;
     std::size_t rounds_completed = 0;
     std::string error;
+    /// A fleet run's live state between steps; null until its first step,
+    /// while a worker holds it, and after an eviction or a failure.
+    std::unique_ptr<FleetSession> session;
   };
 
   /// One dispatched step, keyed by token so the watchdog and the worker can
@@ -176,6 +193,7 @@ class Coordinator {
   void watchdog_loop();
   void enter_crashed_state();                    // callers hold mu_
   [[nodiscard]] bool head_dispatchable() const;  // callers hold mu_
+  void evict_sessions_over_budget();             // callers hold mu_
   void emit(const common::JsonObject& event);    // callers hold mu_
   [[nodiscard]] RunInfo info_of(const Entry& e) const;
   [[nodiscard]] std::string reply_status(const std::string& id);
@@ -197,6 +215,7 @@ class Coordinator {
   std::vector<QuarantineRecord> quarantined_;
   std::size_t running_ = 0;
   std::size_t running_resident_ = 0;
+  std::size_t held_resident_ = 0;  // clients in sessions parked in runs_
   bool stop_ = false;
   bool shutdown_requested_ = false;
   bool crashed_ = false;

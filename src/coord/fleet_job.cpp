@@ -1,12 +1,11 @@
 #include "coord/fleet_job.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "coord/chaos/chaos.hpp"
+#include "coord/registry.hpp"
 #include "device/model_desc.hpp"
 #include "fl/checkpoint/codec.hpp"
 #include "fleet/event_sim.hpp"
@@ -19,12 +18,17 @@ namespace fc = fl::checkpoint;
 
 namespace {
 
-constexpr std::uint32_t kFleetMagic = 0x46534631;  // "FSF1"
-constexpr std::uint32_t kFleetVersion = 1;
+constexpr std::uint32_t kFleetMagic = 0x46534632;  // "FSF2"
+constexpr std::uint32_t kFleetVersion = 2;
+constexpr const char* kFleetArtifact = "fedsched FSF2 fleet checkpoint";
 
+/// What an FSF2 file holds besides the regenerated columns.
 struct FleetCheckpoint {
   std::size_t rounds_completed = 0;
-  fleet::FleetState state;
+  std::size_t clients = 0;
+  std::uint64_t digest = 0;
+  std::vector<double> battery_soc;
+  std::vector<std::uint8_t> alive;
   std::vector<FleetRoundSummary> summaries;
   std::string trace_prefix;
   std::size_t trace_events = 0;
@@ -60,96 +64,69 @@ FleetRoundSummary get_summary(fc::PayloadReader& in) {
   return s;
 }
 
-void save_fleet_checkpoint(const FleetCheckpoint& ckpt, const std::string& path,
-                           chaos::ChaosInjector* chaos) {
-  fc::PayloadWriter out;
-  out.put_u64(ckpt.rounds_completed);
-
-  const fleet::FleetState& s = ckpt.state;
-  out.put_vec(s.device_model);
-  out.put_vec(s.network);
-  out.put_vec(s.speed_factor);
-  out.put_vec(s.base_s);
-  out.put_vec(s.per_sample_s);
-  out.put_vec(s.comm_s);
-  out.put_vec(s.battery_soc);
-  out.put_vec(s.battery_capacity_wh);
-  out.put_vec(s.train_power_w);
-  out.put_vec(s.comm_energy_wh);
-  out.put_vec(s.temp_c);
-  out.put_vec(s.capacity_shards);
-  out.put_vec(s.alive);
-
-  out.put_u64(ckpt.summaries.size());
-  for (const FleetRoundSummary& r : ckpt.summaries) put_summary(out, r);
-
-  out.put_u64(ckpt.trace_events);
-  out.put_bytes(ckpt.trace_prefix);
-
-  const std::uint64_t op = chaos != nullptr ? chaos->begin_write() : 0;
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kBeforeTmp, path);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    const std::filesystem::path p(tmp);
-    if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) throw std::runtime_error("fleet checkpoint: cannot open " + tmp);
-    const std::string sealed = fc::seal(kFleetMagic, kFleetVersion, out.bytes());
-    file.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
-    if (!file) throw std::runtime_error("fleet checkpoint: write failed for " + tmp);
-  }
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterTmp, path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("fleet checkpoint: cannot rename " + tmp + " -> " +
-                             path + ": " + ec.message());
-  }
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterRename, path);
-  }
-}
-
 FleetCheckpoint load_fleet_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fleet checkpoint: cannot open " + path);
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error("fleet checkpoint: read failed for " + path);
-  const std::string_view body =
-      fc::open(kFleetMagic, kFleetVersion, file, "fleet checkpoint: " + path,
-               "fedsched fleet checkpoint");
-  fc::PayloadReader payload(body, "fleet checkpoint: " + path);
+  const std::string file = fc::read_file(path, "fleet checkpoint");
+  const std::string context = "fleet checkpoint: " + path;
+  fc::PayloadReader payload(
+      fc::open(kFleetMagic, kFleetVersion, file, context, kFleetArtifact), context);
 
   FleetCheckpoint ckpt;
   ckpt.rounds_completed = static_cast<std::size_t>(payload.get_u64());
-
-  fleet::FleetState& s = ckpt.state;
-  s.device_model = payload.get_vec<std::uint8_t>();
-  s.network = payload.get_vec<std::uint8_t>();
-  s.speed_factor = payload.get_vec<double>();
-  s.base_s = payload.get_vec<double>();
-  s.per_sample_s = payload.get_vec<double>();
-  s.comm_s = payload.get_vec<double>();
-  s.battery_soc = payload.get_vec<double>();
-  s.battery_capacity_wh = payload.get_vec<double>();
-  s.train_power_w = payload.get_vec<double>();
-  s.comm_energy_wh = payload.get_vec<double>();
-  s.temp_c = payload.get_vec<double>();
-  s.capacity_shards = payload.get_vec<std::uint32_t>();
-  s.alive = payload.get_vec<std::uint8_t>();
-
+  ckpt.clients = static_cast<std::size_t>(payload.get_u64());
+  ckpt.digest = payload.get_u64();
+  ckpt.battery_soc = payload.get_vec<double>();
+  ckpt.alive = payload.get_vec<std::uint8_t>();
   ckpt.summaries.resize(payload.get_count(1));
   for (FleetRoundSummary& r : ckpt.summaries) r = get_summary(payload);
-
   ckpt.trace_events = static_cast<std::size_t>(payload.get_u64());
   ckpt.trace_prefix = payload.get_bytes();
   payload.expect_exhausted();
+  if (ckpt.battery_soc.size() != ckpt.clients || ckpt.alive.size() != ckpt.clients) {
+    payload.corrupt();
+  }
   return ckpt;
+}
+
+/// FNV-1a over every column restore regenerates rather than stores, each
+/// length-prefixed, in FleetState order.
+std::uint64_t regenerated_digest(const fleet::FleetState& s) {
+  std::uint64_t h = fc::kFnv1a64Basis;
+  const auto column = [&h](const auto& v) {
+    const std::uint64_t n = v.size();
+    h = fc::fnv1a64({reinterpret_cast<const char*>(&n), sizeof n}, h);
+    h = fc::fnv1a64({reinterpret_cast<const char*>(v.data()), n * sizeof v[0]}, h);
+  };
+  column(s.device_model);
+  column(s.network);
+  column(s.speed_factor);
+  column(s.base_s);
+  column(s.per_sample_s);
+  column(s.comm_s);
+  column(s.battery_capacity_wh);
+  column(s.train_power_w);
+  column(s.comm_energy_wh);
+  column(s.temp_c);
+  column(s.capacity_shards);
+  return h;
+}
+
+fleet::FleetState generate_fleet(const FleetRunSpec& spec, obs::TraceWriter* trace) {
+  const device::ModelDesc& desc =
+      spec.model == "VGG6" ? device::vgg6_desc() : device::lenet_desc();
+  const fleet::FleetMix mix =
+      spec.mix.empty() ? fleet::FleetMix{} : fleet::parse_fleet_mix(spec.mix);
+  return fleet::FleetGenerator(mix, desc, spec.seed).generate(spec.fleet_size, trace);
+}
+
+fleet::FleetSimConfig sim_config(const FleetRunSpec& spec) {
+  fleet::FleetSimConfig config;
+  config.shard_size = spec.shard;
+  config.deadline_s = spec.deadline_s;
+  config.dropout_prob = spec.dropout;
+  config.battery_floor_soc = spec.battery_floor;
+  config.parallelism = spec.parallelism;
+  config.seed = spec.seed;
+  return config;
 }
 
 }  // namespace
@@ -173,63 +150,78 @@ FleetPlan plan_fleet_round(const std::string& policy,
   return plan;
 }
 
-FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
-                                const std::string& ckpt_path,
-                                const std::string& trace_path,
-                                std::size_t completed_rounds,
-                                chaos::ChaosInjector* chaos) {
-  if (completed_rounds >= spec.rounds) {
+FleetSession::FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
+                           std::string trace_path, fleet::FleetState state)
+    : spec_(spec),
+      ckpt_path_(std::move(ckpt_path)),
+      trace_path_(std::move(trace_path)),
+      sim_(std::move(state), sim_config(spec)) {}
+
+FleetSession FleetSession::open(const FleetRunSpec& spec, std::string ckpt_path,
+                                std::string trace_path,
+                                std::size_t completed_rounds) {
+  if (completed_rounds == 0) {
+    std::ostringstream sink;
+    obs::TraceWriter trace(sink);
+    trace.enable_capture();
+    fleet::FleetState state = generate_fleet(spec, &trace);
+    const std::uint64_t digest = regenerated_digest(state);
+    FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
+                         std::move(state));
+    session.digest_ = digest;
+    session.trace_prefix_ = trace.captured();
+    session.trace_events_ = trace.captured_events();
+    return session;
+  }
+
+  FleetCheckpoint ckpt = load_fleet_checkpoint(ckpt_path);
+  fleet::FleetState state = generate_fleet(spec, nullptr);
+  if (regenerated_digest(state) != ckpt.digest || state.size() != ckpt.clients) {
+    throw std::runtime_error("fleet checkpoint: " + ckpt_path +
+                             ": regenerated fleet digest mismatch (the spec or "
+                             "the generator changed under the checkpoint)");
+  }
+  state.battery_soc = std::move(ckpt.battery_soc);
+  state.alive = std::move(ckpt.alive);
+  FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
+                       std::move(state));
+  session.digest_ = ckpt.digest;
+  session.rounds_completed_ = ckpt.rounds_completed;
+  session.summaries_ = std::move(ckpt.summaries);
+  session.trace_prefix_ = std::move(ckpt.trace_prefix);
+  session.trace_events_ = ckpt.trace_events;
+  return session;
+}
+
+FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
+                                    chaos::ChaosInjector* chaos) {
+  if (completed_rounds >= spec_.rounds) {
     throw std::runtime_error("fleet job: run already complete");
   }
-  if (chaos != nullptr && !chaos->enabled()) chaos = nullptr;
-  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
-  trace.enable_capture();
-
-  FleetCheckpoint ckpt;
-  if (completed_rounds == 0) {
-    const device::ModelDesc& desc = spec.model == "VGG6" ? device::vgg6_desc()
-                                                         : device::lenet_desc();
-    const fleet::FleetMix mix =
-        spec.mix.empty() ? fleet::FleetMix{} : fleet::parse_fleet_mix(spec.mix);
-    ckpt.state =
-        fleet::FleetGenerator(mix, desc, spec.seed).generate(spec.fleet_size, &trace);
-  } else {
-    ckpt = load_fleet_checkpoint(ckpt_path);
-    if (ckpt.rounds_completed == completed_rounds + 1) {
-      // Torn recovery state: a crash between the checkpoint rename and the
-      // meta write lost the step's acknowledgement, but the checkpoint
-      // already holds the completed round. Replay its trace and report the
-      // step done instead of re-simulating (which would double-apply it).
-      trace.write_raw(ckpt.trace_prefix, ckpt.trace_events);
-      trace.flush();
-      FleetStepOutcome replayed;
-      replayed.rounds_completed = ckpt.rounds_completed;
-      replayed.done = ckpt.rounds_completed == spec.rounds;
-      return replayed;
-    }
-    if (ckpt.rounds_completed != completed_rounds) {
-      throw std::runtime_error("fleet job: checkpoint round mismatch");
-    }
-    trace.write_raw(ckpt.trace_prefix, ckpt.trace_events);
+  // Torn recovery state: a crash between the checkpoint rename and the meta
+  // write lost the step's acknowledgement, but the restored checkpoint
+  // already holds the round. Replay its trace and report the step done
+  // instead of re-simulating (which would double-apply it).
+  const bool replay = rounds_completed_ == completed_rounds + 1;
+  if (!replay && rounds_completed_ != completed_rounds) {
+    throw std::runtime_error("fleet job: checkpoint round mismatch");
   }
-
-  fleet::FleetSimConfig config;
-  config.shard_size = spec.shard;
-  config.deadline_s = spec.deadline_s;
-  config.dropout_prob = spec.dropout;
-  config.battery_floor_soc = spec.battery_floor;
-  config.parallelism = spec.parallelism;
-  config.seed = spec.seed;
-  fleet::FleetSimulator sim(std::move(ckpt.state), config);
+  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path_);
+  trace.enable_capture();
+  trace.write_raw(trace_prefix_, trace_events_);
+  if (replay) {
+    trace.flush();
+    return {rounds_completed_, rounds_completed_ == spec_.rounds};
+  }
 
   // Replan every round — battery deaths shrink the schedulable fleet — then
   // simulate it, exactly the `fedsched_cli fleet` loop body.
-  const sched::LinearCosts costs = fleet::linear_costs(sim.state(), spec.shard);
-  const FleetPlan plan = plan_fleet_round(spec.policy, costs,
-                                          spec.effective_total_shards(),
-                                          spec.buckets, &trace);
+  const sched::LinearCosts costs = fleet::linear_costs(sim_.state(), spec_.shard);
+  const FleetPlan plan = plan_fleet_round(spec_.policy, costs,
+                                          spec_.effective_total_shards(),
+                                          spec_.buckets, &trace);
   const fleet::FleetRoundResult r =
-      sim.run_round(plan.assignment.shards_per_user, completed_rounds, &trace);
+      sim_.run_round(plan.assignment.shards_per_user, completed_rounds, &trace);
   trace.flush();
 
   FleetRoundSummary summary;
@@ -244,18 +236,34 @@ FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
   summary.threshold_s = plan.threshold_s;
   summary.makespan_s = r.makespan_s;
   summary.energy_wh = r.energy_wh;
-  ckpt.summaries.push_back(summary);
+  summaries_.push_back(summary);
+  rounds_completed_ = completed_rounds + 1;
+  trace_prefix_ = trace.captured();
+  trace_events_ = trace.captured_events();
 
-  ckpt.state = sim.state();
-  ckpt.rounds_completed = completed_rounds + 1;
-  ckpt.trace_prefix = trace.captured();
-  ckpt.trace_events = trace.captured_events();
-  save_fleet_checkpoint(ckpt, ckpt_path, chaos);
+  const fleet::FleetState& s = sim_.state();
+  fc::PayloadWriter out;
+  out.put_u64(rounds_completed_);
+  out.put_u64(s.size());
+  out.put_u64(digest_);
+  out.put_vec(s.battery_soc);
+  out.put_vec(s.alive);
+  out.put_u64(summaries_.size());
+  for (const FleetRoundSummary& rs : summaries_) put_summary(out, rs);
+  out.put_u64(trace_events_);
+  out.put_bytes(trace_prefix_);
+  write_file_atomic(ckpt_path_, fc::seal(kFleetMagic, kFleetVersion, out.bytes()),
+                    {false, chaos});
+  return {rounds_completed_, rounds_completed_ == spec_.rounds};
+}
 
-  FleetStepOutcome out;
-  out.rounds_completed = ckpt.rounds_completed;
-  out.done = ckpt.rounds_completed == spec.rounds;
-  return out;
+FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
+                                const std::string& ckpt_path,
+                                const std::string& trace_path,
+                                std::size_t completed_rounds,
+                                chaos::ChaosInjector* chaos) {
+  return FleetSession::open(spec, ckpt_path, trace_path, completed_rounds)
+      .step(completed_rounds, chaos);
 }
 
 std::vector<FleetRoundSummary> load_fleet_summaries(const std::string& ckpt_path) {

@@ -4,20 +4,38 @@
 // A fleet run replans and simulates one round per step, exactly as
 // `fedsched_cli fleet` does in its loop: linear_costs over the surviving
 // fleet, a bucketed schedule (emitting its sched_* trace event), then
-// FleetSimulator::run_round (emitting fleet_round). Between steps the
-// complete mutable state — the FleetState SoA, the per-round summaries, and
-// the captured trace prefix — is persisted in an FSF1 checkpoint built on
-// the same sealed-payload codec as the FSC1 run checkpoint, so a coordinator
-// restart resumes the run bit-identically and the final trace file is
-// byte-identical to the one-shot CLI run's (fleet generation happens inside
-// the first step with the same seed, so even the fleet_generate event
-// matches).
+// FleetSimulator::run_round (emitting fleet_round). The fleet is generated
+// inside the first step with the same seed, so even the fleet_generate event
+// matches and the final trace file is byte-identical to the one-shot CLI's.
+//
+// Residency: a FleetSession is one run between steps — the FleetSimulator
+// (owning the FleetState), the round summaries, the captured trace prefix
+// and the digest below. The coordinator keeps it in the run's slot, so a
+// step reads nothing back from disk. run_fleet_step is open + step, the same
+// round implementation restored from disk every time.
+//
+// FSF2 checkpoint, written atomically every step (temp file + rename,
+// through the chaos crash points) on the sealed-payload codec of the FSC1
+// run checkpoint. Without client dynamics a round changes only
+// `battery_soc` and `alive`; every other FleetState column is a pure
+// function of (mix, model, seed, fleet_size). FSF2 therefore stores the
+// rounds completed, the client count, a digest of the regenerated columns,
+// `battery_soc` and `alive` (9 B per client), the round summaries, and the
+// trace prefix with its event count. Restore regenerates the fleet (no trace
+// writer), checks the FNV-1a digest over the eleven columns it did not
+// store — `network` and the two comm columns included, since coordinator
+// fleet specs carry no scenario — and overlays the two stored ones. A
+// mismatch (a spec edited under its checkpoint, a generator change) throws
+// std::runtime_error; it never resumes a silently different fleet. An FSF1
+// file fails fc::open's magic check.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "coord/spec.hpp"
+#include "fleet/event_sim.hpp"
 #include "obs/trace.hpp"
 #include "sched/linear_costs.hpp"
 #include "sched/types.hpp"
@@ -60,19 +78,56 @@ struct FleetStepOutcome {
   bool done = false;
 };
 
-/// Run one round of `spec`. `completed_rounds` must match the checkpoint at
-/// `ckpt_path` (0 = generate the fleet and start fresh). The trace file at
-/// `trace_path` is rewritten each step from the captured prefix; the
-/// checkpoint is written to a temp file and renamed into place. A non-null
-/// enabled `chaos` injector threads that write through its crash points.
+class FleetSession {
+ public:
+  /// `completed_rounds` == 0 generates the fleet (its fleet_generate event
+  /// becomes the trace prefix); otherwise restores from the FSF2 checkpoint
+  /// at `ckpt_path`. Throws std::runtime_error on a damaged or FSF1 file and
+  /// on a digest mismatch.
+  [[nodiscard]] static FleetSession open(const FleetRunSpec& spec,
+                                         std::string ckpt_path,
+                                         std::string trace_path,
+                                         std::size_t completed_rounds);
+
+  /// Run round `completed_rounds`: plan, simulate, rewrite the trace file
+  /// from the captured prefix, and write the checkpoint atomically. A
+  /// restored checkpoint one round ahead of `completed_rounds` is the torn
+  /// state a crash between the checkpoint rename and the meta write leaves:
+  /// the step then replays that round's trace instead of re-simulating it.
+  /// A non-null enabled `chaos` injector threads the checkpoint write
+  /// through its crash points. After a throw the session is unusable.
+  FleetStepOutcome step(std::size_t completed_rounds,
+                        chaos::ChaosInjector* chaos = nullptr);
+
+  /// Per-round summaries so far (the result payload once the run is done).
+  [[nodiscard]] const std::vector<FleetRoundSummary>& summaries() const noexcept {
+    return summaries_;
+  }
+
+ private:
+  FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
+               std::string trace_path, fleet::FleetState state);
+
+  FleetRunSpec spec_;
+  std::string ckpt_path_;
+  std::string trace_path_;
+  fleet::FleetSimulator sim_;
+  std::uint64_t digest_ = 0;
+  std::size_t rounds_completed_ = 0;
+  std::vector<FleetRoundSummary> summaries_;
+  std::string trace_prefix_;
+  std::size_t trace_events_ = 0;
+};
+
+/// One round as a one-shot: FleetSession::open + step.
 [[nodiscard]] FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
                                               const std::string& ckpt_path,
                                               const std::string& trace_path,
                                               std::size_t completed_rounds,
                                               chaos::ChaosInjector* chaos = nullptr);
 
-/// Per-round summaries stored in the checkpoint at `ckpt_path` (the fleet
-/// run's result payload once the run is done).
+/// Per-round summaries stored in the checkpoint at `ckpt_path` (decodes the
+/// file without regenerating the fleet).
 [[nodiscard]] std::vector<FleetRoundSummary> load_fleet_summaries(
     const std::string& ckpt_path);
 

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -109,15 +108,6 @@ void write_file_atomic(const std::string& path, const std::string& bytes,
   if (chaos != nullptr) {
     chaos->crash_point(op, chaos::CrashPhase::kAfterRename, path);
   }
-}
-
-std::string read_file(const std::string& path, const std::string& context) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(context + ": cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error(context + ": read failed for " + path);
-  return bytes;
 }
 
 void validate_sealed_artifact(const std::string& bytes,

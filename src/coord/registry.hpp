@@ -3,7 +3,7 @@
 //
 //   <root>/<id>/spec.json    the validated spec, written once at admission
 //   <root>/<id>/meta.json    {"rounds_completed": n}, rewritten after each step
-//   <root>/<id>/ckpt.bin     the run's resume point (FSC1 train / FSF1 fleet)
+//   <root>/<id>/ckpt.bin     the run's resume point (FSC1 train / FSF2 fleet)
 //   <root>/<id>/trace.jsonl  the run's trace, rewritten per step from the
 //                            checkpointed prefix
 //   <root>/<id>/result.json  terminal success document (presence = done)
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "coord/spec.hpp"
+#include "fl/checkpoint/codec.hpp"
 
 namespace fedsched::coord {
 
@@ -130,8 +131,7 @@ class RunRegistry {
 void write_file_atomic(const std::string& path, const std::string& bytes,
                        const AtomicWriteOptions& options = {});
 /// Whole-file read; throws std::runtime_error when missing/unreadable.
-[[nodiscard]] std::string read_file(const std::string& path,
-                                    const std::string& context);
+using fl::checkpoint::read_file;
 /// Validate a sealed artifact's generic framing (header length, declared
 /// payload size, FNV-1a checksum) without knowing its magic. Throws
 /// std::runtime_error with `context` on damage.

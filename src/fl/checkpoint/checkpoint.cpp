@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -201,15 +200,7 @@ void save_checkpoint(const RunState& state, const std::string& path) {
 }
 
 std::uint64_t peek_rounds_completed(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("peek_rounds_completed: cannot open " + path);
-  }
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("peek_rounds_completed: read failed for " + path);
-  }
+  const std::string file = read_file(path, "peek_rounds_completed");
   const std::string_view body = open(kMagic, kFormatVersion, file,
                                      "peek_rounds_completed: " + path,
                                      "fedsched checkpoint");
@@ -219,11 +210,7 @@ std::uint64_t peek_rounds_completed(const std::string& path) {
 }
 
 RunState load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error("load_checkpoint: read failed for " + path);
+  const std::string file = read_file(path, "load_checkpoint");
 
   const std::string_view body = open(kMagic, kFormatVersion, file,
                                      "load_checkpoint: " + path,

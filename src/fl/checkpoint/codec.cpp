@@ -1,14 +1,15 @@
 #include "fl/checkpoint/codec.hpp"
 
+#include <filesystem>
+#include <fstream>
+
 namespace fedsched::fl::checkpoint {
 
 namespace {
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = kFnvOffset;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t h) noexcept {
   for (unsigned char c : bytes) {
     h ^= c;
     h *= kFnvPrime;
@@ -59,6 +60,21 @@ std::string_view open(std::uint32_t magic, std::uint32_t version,
     throw std::runtime_error(context + ": checksum mismatch");
   }
   return body;
+}
+
+std::string read_file(const std::string& path, const std::string& context) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error(context + ": cannot open " + path);
+  // Size from the path, not by seeking: a directory opens fine but has no
+  // byte size, and the error code turns that into a clean read failure.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw std::runtime_error(context + ": read failed for " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (in.bad()) throw std::runtime_error(context + ": read failed for " + path);
+  bytes.resize(static_cast<std::size_t>(in.gcount()));  // shrank since sized
+  return bytes;
 }
 
 }  // namespace fedsched::fl::checkpoint

@@ -28,8 +28,18 @@
 
 namespace fedsched::fl::checkpoint {
 
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a over raw bytes — the integrity checksum of every sealed payload.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+/// Passing a previous result as `h` continues the hash, so several buffers
+/// hash as their concatenation.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
+                                    std::uint64_t h = kFnv1a64Basis) noexcept;
+
+/// Whole-file read in one sized read. Throws std::runtime_error
+/// "<context>: cannot open <path>" or "<context>: read failed for <path>".
+[[nodiscard]] std::string read_file(const std::string& path,
+                                    const std::string& context);
 
 /// Fixed sealed-header size: magic + version + payload_size + checksum.
 inline constexpr std::size_t kSealedHeaderSize =

@@ -121,27 +121,44 @@ TEST_F(CoordService, FullQueueRejectsCleanly) {
 }
 
 TEST_F(CoordService, MultiplexedRunsMatchSoloRunsByteForByte) {
-  // Three runs interleaving over two workers...
-  Coordinator multiplexed(config(root("mux")));
-  ASSERT_TRUE(multiplexed.submit(fleet_spec("f1", 11, 2)).accepted);
-  ASSERT_TRUE(multiplexed.submit(fleet_spec("f2", 22, 2)).accepted);
-  ASSERT_TRUE(multiplexed.submit(train_spec("t1", 33)).accepted);
-  multiplexed.wait_all_done();
+  // The default budget keeps both fleet sessions resident. 450 clients is
+  // below the two fleets' 600 but holds either one, so a parked session is
+  // evicted whenever the other fleet steps, and its run restores from its
+  // checkpoint mid-drain.
+  for (const std::size_t budget : {std::size_t{1'000'000}, std::size_t{450}}) {
+    SCOPED_TRACE("max_resident_clients = " + std::to_string(budget));
+    const std::string tag = std::to_string(budget);
+    // Three runs interleaving over two workers...
+    CoordinatorConfig mux_cfg = config(root("mux_" + tag));
+    mux_cfg.max_resident_clients = budget;
+    Coordinator multiplexed(mux_cfg);
+    ASSERT_TRUE(multiplexed.submit(fleet_spec("f1", 11, 2)).accepted);
+    ASSERT_TRUE(multiplexed.submit(fleet_spec("f2", 22, 2)).accepted);
+    // f2 queued before f1 parked its first round: under the tight budget
+    // f2's first step must then evict f1's session.
+    const bool f2_queued_first = multiplexed.status("f1")->rounds_completed == 0;
+    ASSERT_TRUE(multiplexed.submit(train_spec("t1", 33)).accepted);
+    multiplexed.wait_all_done();
+    const bool evicted =
+        multiplexed.metrics_json().find("coord.sessions_evicted") != std::string::npos;
+    if (budget >= 600) EXPECT_FALSE(evicted);
+    if (budget < 600 && f2_queued_first) EXPECT_TRUE(evicted);
 
-  // ...must produce exactly the bytes each produces running alone.
-  for (const std::string id : {"f1", "f2", "t1"}) {
-    ASSERT_EQ(multiplexed.status(id)->status, RunStatus::kDone) << id;
-    CoordinatorConfig solo_cfg = config(root("solo_" + id));
-    solo_cfg.workers = 1;
-    Coordinator solo(solo_cfg);
-    ASSERT_TRUE(solo
-                    .submit(id == "t1" ? train_spec(id, 33)
-                                       : fleet_spec(id, id == "f1" ? 11 : 22, 2))
-                    .accepted);
-    solo.wait_all_done();
-    EXPECT_EQ(multiplexed.trace_bytes(id), solo.trace_bytes(id)) << id;
-    EXPECT_EQ(multiplexed.result_document(id), solo.result_document(id)) << id;
-    EXPECT_EQ(multiplexed.checkpoint_bytes(id), solo.checkpoint_bytes(id)) << id;
+    // ...must produce exactly the bytes each produces running alone.
+    for (const std::string id : {"f1", "f2", "t1"}) {
+      ASSERT_EQ(multiplexed.status(id)->status, RunStatus::kDone) << id;
+      CoordinatorConfig solo_cfg = config(root("solo_" + tag + "_" + id));
+      solo_cfg.workers = 1;
+      Coordinator solo(solo_cfg);
+      ASSERT_TRUE(solo
+                      .submit(id == "t1" ? train_spec(id, 33)
+                                         : fleet_spec(id, id == "f1" ? 11 : 22, 2))
+                      .accepted);
+      solo.wait_all_done();
+      EXPECT_EQ(multiplexed.trace_bytes(id), solo.trace_bytes(id)) << id;
+      EXPECT_EQ(multiplexed.result_document(id), solo.result_document(id)) << id;
+      EXPECT_EQ(multiplexed.checkpoint_bytes(id), solo.checkpoint_bytes(id)) << id;
+    }
   }
 }
 
