@@ -124,14 +124,15 @@ GossipRunResult GossipRunner::run(const data::Partition& partition) {
     record.client_seconds.assign(n, 0.0);
     trace_round_start(trace, round);
 
+    // Share sizes size the hedge plan and order the executor's claims
+    // (largest first).
+    std::vector<std::size_t> share_sizes(n);
+    for (std::size_t u = 0; u < n; ++u) share_sizes[u] = working.user_indices[u].size();
+
     // Hedge plan (see FedAvgRunner::run): decided serially before any lane
     // runs. Gossip trains one epoch per round.
     replication::RoundPlan hedge_plan;
     if (hedging) {
-      std::vector<std::size_t> share_sizes(n);
-      for (std::size_t u = 0; u < n; ++u) {
-        share_sizes[u] = working.user_indices[u].size();
-      }
       hedge_plan = hedger->plan(*tracker, share_sizes, 1);
       record.replicas_assigned = hedge_plan.assignments.size();
       if (!hedge_plan.empty()) trace_replication_plan(trace, round, hedge_plan);
@@ -187,7 +188,7 @@ GossipRunResult GossipRunner::run(const data::Partition& partition) {
       client_loss[u] = stats.mean_loss;
       has_loss[u] = 1;
       trained[u] = worker.flat_params();
-    });
+    }, share_sizes);
 
     // Speculative copies: the host re-trains the owner's share after its own
     // epoch (extra compute on its clock, extra upload, extra battery drain;
@@ -258,7 +259,7 @@ GossipRunResult GossipRunner::run(const data::Partition& partition) {
         client_loss[u] = stats.mean_loss;
         has_loss[u] = 1;
         trained[u] = worker.flat_params();
-      });
+      }, share_sizes);
     }
 
     double loss_sum = 0.0;

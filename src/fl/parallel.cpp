@@ -1,10 +1,30 @@
 #include "fl/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
 namespace fedsched::fl {
+
+namespace {
+
+/// Clients by `work` descending, ties to the lower id; index order when
+/// `work` is empty.
+std::vector<std::size_t> claim_order(std::size_t n, std::span<const std::size_t> work) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (work.empty()) return order;
+  if (work.size() != n) {
+    throw std::invalid_argument("ClientExecutor: work size != client count");
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [work](std::size_t a, std::size_t b) { return work[a] > work[b]; });
+  return order;
+}
+
+}  // namespace
 
 std::size_t resolve_parallelism(std::size_t parallelism) noexcept {
   if (parallelism != 0) return parallelism;
@@ -25,17 +45,22 @@ ClientExecutor::ClientExecutor(const nn::ModelSpec& spec, std::size_t parallelis
 }
 
 void ClientExecutor::for_each_client(
-    std::size_t n_clients, const std::function<void(std::size_t, nn::Model&)>& fn) {
+    std::size_t n_clients, const std::function<void(std::size_t, nn::Model&)>& fn,
+    std::span<const std::size_t> work) {
   if (n_clients == 0) return;
+  const std::vector<std::size_t> order = claim_order(n_clients, work);
   if (!pool_ || n_clients == 1) {
-    for (std::size_t u = 0; u < n_clients; ++u) fn(u, workers_.front());
+    for (std::size_t u : order) fn(u, workers_.front());
     return;
   }
-  pool_->parallel_for_chunks(
-      0, n_clients, width(),
-      [this, &fn](std::size_t chunk, std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u) fn(u, workers_[chunk]);
-      });
+  // One task per lane, each bound to its own worker; a lane claims the next
+  // client in `order` whenever it frees up.
+  std::atomic<std::size_t> cursor{0};
+  const auto lane_loop = [&](std::size_t lane, std::size_t, std::size_t) {
+    for (std::size_t k = cursor++; k < n_clients; k = cursor++) fn(order[k], workers_[lane]);
+  };
+  const std::size_t lanes = std::min(width(), n_clients);
+  pool_->parallel_for_chunks(0, lanes, lanes, lane_loop);
 }
 
 void ClientExecutor::for_each_index(std::size_t n,

@@ -5,13 +5,24 @@
 // client trains from its own snapshot of the global parameters against its
 // own optimizer, device and RNG stream. ClientExecutor owns one worker model
 // per lane (pool thread), so concurrent clients never share mutable training
-// state, and splits clients into the deterministic contiguous chunks of
-// ThreadPool::parallel_for_chunks.
+// state.
+//
+// Lanes claim clients one at a time from a shared cursor over a claim order
+// fixed before the call: heaviest first by the caller's per-client work
+// (ties to the lower client id), or index order when the caller passes no
+// work. This is the makespan rule Fed-LBAP applies to phones, applied to
+// host lanes: Fed-LBAP hands phones deliberately unequal shares, and fixed
+// contiguous chunks would give one lane 13,100 of Table III's 30,000 samples
+// and another 4,250. Which lane runs a client depends on timing, so the worker
+// a client trains on is not fixed; runners treat worker state as scratch
+// (set_flat_params overwrites the weights, Sgd::step leaves the gradients
+// zero).
 //
 // Determinism contract: runners write only client-indexed state inside the
 // parallel region and reduce in fixed client order afterwards, so a run with
 // any `parallelism` width is bit-for-bit identical to the serial run
-// (enforced by tests/fl/test_parallel_determinism.cpp).
+// (enforced by tests/integration/test_determinism_matrix.cpp and, on
+// shares whose claim order is not index order, tests/fl/test_parallel_executor.cpp).
 //
 // Width semantics (the FlConfig::parallelism knob): 0 selects the hardware
 // concurrency, 1 the legacy serial path (no pool, no extra threads), k >= 2
@@ -22,6 +33,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -41,11 +53,18 @@ class ClientExecutor {
 
   [[nodiscard]] std::size_t width() const noexcept { return workers_.size(); }
 
-  /// Run fn(client, worker) for every client in [0, n_clients). The worker
-  /// model is exclusive to the executing lane for the duration of the call;
-  /// fn must only write client-indexed state.
+  /// Run fn(client, worker) once for every client in [0, n_clients), in
+  /// claim order: `work` descending with ties to the lower id, or index
+  /// order when `work` is empty (otherwise it needs n_clients entries). A
+  /// serial executor runs the clients in that order; a pool's lanes each
+  /// claim the next client as they free up. The worker model is exclusive
+  /// to the executing lane for the duration of the call; fn must only write
+  /// client-indexed state and must not rely on what an earlier client left
+  /// in the worker. If fn throws, its lane stops claiming, the other lanes
+  /// finish, and the first exception is rethrown.
   void for_each_client(std::size_t n_clients,
-                       const std::function<void(std::size_t, nn::Model&)>& fn);
+                       const std::function<void(std::size_t, nn::Model&)>& fn,
+                       std::span<const std::size_t> work = {});
 
   /// Run fn(i) for i in [0, n) without a worker model (e.g. mixing steps
   /// whose per-index output is independent of chunking).

@@ -171,8 +171,14 @@ RunResult FedAvgRunner::run(const data::Partition& partition) {
     record.client_seconds.assign(n_users, 0.0);
     trace_round_start(trace, round);
 
+    // Share sizes weight the aggregation, size the hedge plan and order the
+    // executor's claims (largest first).
+    std::vector<std::size_t> share_sizes(n_users);
     std::size_t total_samples = 0;
-    for (const auto& share : working.user_indices) total_samples += share.size();
+    for (std::size_t u = 0; u < n_users; ++u) {
+      share_sizes[u] = working.user_indices[u].size();
+      total_samples += share_sizes[u];
+    }
     if (total_samples == 0) {
       throw std::invalid_argument("FedAvgRunner::run: empty partition");
     }
@@ -182,10 +188,6 @@ RunResult FedAvgRunner::run(const data::Partition& partition) {
     // client runs, so the plan is identical at every parallelism width.
     replication::RoundPlan hedge_plan;
     if (hedging) {
-      std::vector<std::size_t> share_sizes(n_users);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        share_sizes[u] = working.user_indices[u].size();
-      }
       hedge_plan = hedger->plan(*tracker, share_sizes, config_.local_epochs);
       record.replicas_assigned = hedge_plan.assignments.size();
       if (!hedge_plan.empty()) trace_replication_plan(trace, round, hedge_plan);
@@ -248,7 +250,7 @@ RunResult FedAvgRunner::run(const data::Partition& partition) {
       client_loss[u] = stats.mean_loss;
       trained[u] = 1;
       locals[u] = worker.flat_params();
-    });
+    }, share_sizes);
 
     // Speculative copies run on their hosts *after* the host's own round:
     // extra compute on the host's device clock (thermal trajectory included),
@@ -328,7 +330,7 @@ RunResult FedAvgRunner::run(const data::Partition& partition) {
         client_loss[u] = stats.mean_loss;
         trained[u] = 1;
         locals[u] = worker.flat_params();
-      });
+      }, share_sizes);
     }
 
     double loss_sum = 0.0;
@@ -385,10 +387,6 @@ RunResult FedAvgRunner::run(const data::Partition& partition) {
       // FedAvg: weight by the client's share of the *surviving* sample
       // count (fl/aggregate.hpp keeps the reduction bit-identical at any
       // executor width).
-      std::vector<std::size_t> share_sizes(n_users);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        share_sizes[u] = working.user_indices[u].size();
-      }
       survivor_weighted_average(aggregate, locals, trained, share_sizes,
                                 survivor_samples, executor_);
 

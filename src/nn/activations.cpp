@@ -8,25 +8,26 @@ using tensor::Tensor;
 
 Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor out = input;
-  if (train) mask_ = Tensor(input.shape());
   float* po = out.raw();
-  float* pm = train ? mask_.raw() : nullptr;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    const bool positive = po[i] > 0.0f;
-    if (!positive) po[i] = 0.0f;
-    if (pm) pm[i] = positive ? 1.0f : 0.0f;
+  const std::size_t n = out.numel();
+  if (train) {
+    mask_shape_ = input.shape();
+    mask_.resize(n);
+    std::uint8_t* pm = mask_.data();
+    for (std::size_t i = 0; i < n; ++i) pm[i] = po[i] > 0.0f;
   }
+  for (std::size_t i = 0; i < n; ++i) po[i] = po[i] > 0.0f ? po[i] : 0.0f;
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  if (!grad_output.same_shape(mask_)) {
+  if (grad_output.shape() != mask_shape_) {
     throw std::invalid_argument("ReLU::backward: shape mismatch");
   }
   Tensor dx = grad_output;
   float* pd = dx.raw();
-  const float* pm = mask_.raw();
-  for (std::size_t i = 0; i < dx.numel(); ++i) pd[i] *= pm[i];
+  const std::uint8_t* pm = mask_.data();
+  for (std::size_t i = 0; i < dx.numel(); ++i) pd[i] *= static_cast<float>(pm[i]);
   return dx;
 }
 

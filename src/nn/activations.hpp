@@ -2,11 +2,15 @@
 // Stateless layers: ReLU and MaxPool2d.
 
 #include <cstdint>
+#include <vector>
 
 #include "nn/layer.hpp"
 
 namespace fedsched::nn {
 
+/// y = x > 0 ? x : +0 — so -0, negatives and NaN all map to +0 (unlike
+/// std::max, which keeps -0 and NaN). backward() is g * float(x > 0): a
+/// masked element of a negative gradient comes back as -0.
 class ReLU final : public Layer {
  public:
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
@@ -17,7 +21,8 @@ class ReLU final : public Layer {
   }
 
  private:
-  tensor::Tensor mask_;  // 1 where input > 0
+  tensor::Shape mask_shape_;         // shape of the last forward(train=true) input
+  std::vector<std::uint8_t> mask_;   // 1 where that input > 0; reused across batches
 };
 
 /// Non-overlapping 2x2-style max pooling over [N, C*H*W] batches.

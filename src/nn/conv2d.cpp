@@ -175,6 +175,8 @@ Tensor Conv2d::backward_blocked(const Tensor& grad_output) {
     }
   }
 
+  if (!input_grad()) return {};
+
   // dcols = W^T dY — the second batch-level GEMM — then fold per sample.
   ensure_shape(grad_cols_, {geometry_.patch_size(), ns});
   ops::matmul_tn(weight_, grad_mat_, grad_cols_, gemm_ws_);
@@ -219,7 +221,8 @@ Tensor Conv2d::backward_reference(const Tensor& grad_output) {
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
 
-  Tensor dx({n, in_features});
+  Tensor dx;
+  if (input_grad()) dx = Tensor({n, in_features});
   // Per-chunk weight/bias gradient partials: each chunk sums its own samples,
   // then the partials reduce in chunk order. Since chunk boundaries depend
   // only on n, the accumulation order is the same for any thread count.
@@ -255,6 +258,7 @@ Tensor Conv2d::backward_reference(const Tensor& grad_output) {
         for (std::size_t p = 0; p < spatial; ++p) acc += row[p];
         pb[c] += acc;
       }
+      if (!input_grad()) continue;
       ops::matmul_tn_ref(weight_, grad_mat, dcols);
       auto img = dx.data().subspan(s * in_features, in_features);
       ops::col2im(dcols, geometry_, img);

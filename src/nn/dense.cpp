@@ -50,19 +50,25 @@ Tensor Dense::backward(const Tensor& grad_output) {
     throw std::invalid_argument("Dense::backward: grad shape mismatch");
   }
   // dW = dY^T X ; db = column sums of dY ; dX = dY W.
+  const bool blocked = policy_ == ops::KernelPolicy::kBlocked;
   Tensor dw({out_, in_});
-  Tensor dx({n, in_});
-  if (policy_ == ops::KernelPolicy::kBlocked) {
+  if (blocked) {
     ops::matmul_tn(grad_output, cached_input_, dw, gemm_ws_);
-    ops::matmul(grad_output, weight_, dx, gemm_ws_);
   } else {
     ops::matmul_tn_ref(grad_output, cached_input_, dw);
-    ops::matmul_ref(grad_output, weight_, dx);
   }
   grad_weight_ += dw;
   Tensor db({out_});
   ops::sum_rows(grad_output, db);
   grad_bias_ += db;
+  if (!input_grad()) return {};
+
+  Tensor dx({n, in_});
+  if (blocked) {
+    ops::matmul(grad_output, weight_, dx, gemm_ws_);
+  } else {
+    ops::matmul_ref(grad_output, weight_, dx);
+  }
   return dx;
 }
 

@@ -36,8 +36,17 @@ class Layer {
                                                bool train) = 0;
 
   /// Backward pass w.r.t. the most recent forward(train=true) input.
-  /// Accumulates into parameter gradients and returns grad w.r.t. input.
+  /// Accumulates into parameter gradients and returns grad w.r.t. input —
+  /// or, for a Conv2d or Dense with input_grad() off, an empty tensor.
   [[nodiscard]] virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+
+  /// Whether backward() computes the gradient w.r.t. the input (default on).
+  /// Model::add turns it off for a model's first layer, whose input is the
+  /// data batch: nothing reads that gradient, so Conv2d and Dense skip the
+  /// input-gradient GEMM (and Conv2d its col2im) and return an empty tensor.
+  /// Parameter gradients do not change; stateless layers ignore the flag.
+  void set_input_grad(bool on) noexcept { input_grad_ = on; }
+  [[nodiscard]] bool input_grad() const noexcept { return input_grad_; }
 
   /// Parameter handles (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Param> params() { return {}; }
@@ -49,6 +58,9 @@ class Layer {
 
   /// Multiply-accumulates per sample in the forward pass (0 for stateless).
   [[nodiscard]] virtual double macs_per_sample() const { return 0.0; }
+
+ private:
+  bool input_grad_ = true;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -10,6 +10,7 @@ using tensor::Tensor;
 
 void Model::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("Model::add: null layer");
+  if (layers_.empty()) layer->set_input_grad(false);
   layers_.push_back(std::move(layer));
 }
 

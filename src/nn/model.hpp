@@ -26,6 +26,8 @@ class Model {
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;
 
+  /// Append a layer. The first layer added gets set_input_grad(false): its
+  /// input is the data batch, so its backward() returns an empty tensor.
   void add(LayerPtr layer);
 
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
@@ -33,6 +35,7 @@ class Model {
 
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool train = false);
   /// Backpropagate loss gradient through every layer (after forward(train)).
+  /// Fills every parameter gradient; layer 0 computes no input gradient.
   void backward(const tensor::Tensor& grad_loss);
 
   [[nodiscard]] std::vector<Param> params();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "device/battery.hpp"
@@ -9,6 +10,12 @@
 #include "profile/profiler.hpp"
 
 namespace fedsched::device {
+
+// gtest prints a pointer parameter as its address, which moves with every
+// process, into the ctest names; print the model's name instead. Declared in
+// ModelDesc's namespace (not the unnamed one) so gtest finds it by ADL.
+static void PrintTo(const ModelDesc* desc, std::ostream* os) { *os << desc->name; }
+
 namespace {
 
 class PhoneModelPairs

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
@@ -20,6 +21,10 @@ struct SweepCase {
   Arch arch;
   std::size_t channels, hw, classes, width, batch;
 };
+
+// Without a printer gtest prints the raw bytes, name pointer included, into
+// the ctest names, which then change with every process.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 using KernelPolicy = tensor::ops::KernelPolicy;
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -306,6 +309,45 @@ TEST(ReLU, InputGradient) {
     if (std::abs(v) < 0.05f) v = 0.1f;
   }
   EXPECT_LT(input_gradcheck(relu, x), 2e-2);
+}
+
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+TEST(ReLU, ForwardMapsNegativeZeroNegativesAndNanToPositiveZero) {
+  // std::max(x, 0.0f) would return -0 for -0 and NaN for NaN; the select
+  // x > 0 ? x : 0 returns the +0 bit pattern for every non-positive input.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor x({1, 7}, {-0.0f, -1.0f, nan, -nan, -inf, 0.0f, 2.5f});
+  for (bool train : {false, true}) {
+    ReLU relu;
+    const Tensor y = relu.forward(x, train);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(bits(y[i]), bits(0.0f)) << "element " << i << ", train " << train;
+    }
+    EXPECT_EQ(bits(y[6]), bits(2.5f));
+  }
+}
+
+TEST(ReLU, BackwardKeepsTheSignOfZeroedGradients) {
+  // g * float(mask): a negative gradient at a masked element is -0.
+  ReLU relu;
+  (void)relu.forward(Tensor({1, 3}, {-1.0f, 1.0f, -0.0f}), true);
+  const Tensor dx = relu.backward(Tensor({1, 3}, {-3.0f, -3.0f, 4.0f}));
+  EXPECT_EQ(bits(dx[0]), bits(-0.0f));
+  EXPECT_EQ(bits(dx[1]), bits(-3.0f));
+  EXPECT_EQ(bits(dx[2]), bits(0.0f));
+}
+
+TEST(ReLU, BackwardRejectsShapeMismatch) {
+  ReLU relu;
+  EXPECT_THROW((void)relu.backward(Tensor({1, 3})), std::invalid_argument);
+  (void)relu.forward(Tensor({2, 3}), true);
+  EXPECT_THROW((void)relu.backward(Tensor({3, 2})), std::invalid_argument);
+  EXPECT_THROW((void)relu.backward(Tensor({2, 4})), std::invalid_argument);
+  // An eval forward keeps the training mask.
+  (void)relu.forward(Tensor({5, 3}), false);
+  EXPECT_NO_THROW((void)relu.backward(Tensor({2, 3})));
 }
 
 TEST(MaxPool2d, ForwardSelectsMax) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
@@ -84,6 +92,103 @@ TEST(Model, MacsSplitByKind) {
   // VGG6 is conv-dominated by construction.
   EXPECT_GT(model.macs_per_sample(ParamKind::kConv),
             10.0 * model.macs_per_sample(ParamKind::kDense));
+}
+
+/// Layer by layer, as a traced pass drives a model: forward, then backward
+/// down to layer 1; returns what layer 0's backward gives back.
+Tensor layer_zero_input_grad(Model& model, const Tensor& input) {
+  Tensor x = model.layer(0).forward(input, true);
+  const tensor::Shape layer_zero_out = x.shape();
+  for (std::size_t i = 1; i < model.layer_count(); ++i) x = model.layer(i).forward(x, true);
+  Tensor g = x;
+  for (std::size_t i = model.layer_count(); i-- > 1;) g = model.layer(i).backward(g);
+  EXPECT_EQ(g.shape(), layer_zero_out) << "layer 1 returns its full input gradient";
+  return model.layer(0).backward(g);
+}
+
+TEST(Model, FirstLayerReturnsEmptyInputGradient) {
+  common::Rng rng(21);
+  std::vector<std::pair<Model, std::size_t>> models;  // model, input features
+  for (Arch arch : {Arch::kLeNet, Arch::kVgg6}) {
+    ModelSpec spec;
+    spec.arch = arch;
+    models.emplace_back(build_model(spec, rng), spec.in_h * spec.in_w);
+  }
+  models.emplace_back(tiny_mlp(rng), 4);  // Dense first
+  for (auto& [model, features] : models) {
+    EXPECT_FALSE(model.layer(0).input_grad());
+    for (std::size_t i = 1; i < model.layer_count(); ++i) {
+      EXPECT_TRUE(model.layer(i).input_grad()) << "layer " << i;
+    }
+    const Tensor dx = layer_zero_input_grad(model, Tensor::randn({3, features}, rng));
+    EXPECT_EQ(dx.numel(), 0u) << model.layer(0).name();
+  }
+}
+
+TEST(Model, StandaloneLayersReturnFullInputGradient) {
+  common::Rng rng(23);
+  tensor::ops::Conv2dGeometry geometry;
+  geometry.in_channels = 2;
+  geometry.in_h = geometry.in_w = 5;
+  geometry.kernel = 3;
+  geometry.pad = 1;
+  for (auto policy : {tensor::ops::KernelPolicy::kBlocked,
+                      tensor::ops::KernelPolicy::kReference}) {
+    Conv2d conv(geometry, 3, rng, policy);
+    EXPECT_TRUE(conv.input_grad());
+    const Tensor cy = conv.forward(Tensor::randn({2, 50}, rng), true);
+    EXPECT_EQ(conv.backward(cy).shape(), (tensor::Shape{2, 50}));
+
+    Dense dense(6, 4, rng, policy);
+    EXPECT_TRUE(dense.input_grad());
+    const Tensor dy = dense.forward(Tensor::randn({3, 6}, rng), true);
+    EXPECT_EQ(dense.backward(dy).shape(), (tensor::Shape{3, 6}));
+  }
+}
+
+TEST(Model, ParamGradsIgnoreLayerZeroInputGrad) {
+  // Switching layer 0's input gradient back on must not move one bit of any
+  // parameter gradient: Conv2d first (LeNet, VGG6) and Dense first (MLP), on
+  // either kernel family.
+  constexpr std::size_t kFeatures = 144;  // ModelSpec's default 12x12 input
+  constexpr std::size_t kClasses = 10;
+  for (auto policy : {tensor::ops::KernelPolicy::kBlocked,
+                      tensor::ops::KernelPolicy::kReference}) {
+    for (const char* arch : {"LeNet", "VGG6", "MLP"}) {
+      const auto build = [&] {
+        common::Rng rng(24);
+        if (std::string_view(arch) == "MLP") {
+          return build_mlp(kFeatures, {32}, kClasses, rng, policy);
+        }
+        ModelSpec spec;
+        spec.arch = std::string_view(arch) == "LeNet" ? Arch::kLeNet : Arch::kVgg6;
+        spec.kernels = policy;
+        return build_model(spec, rng);
+      };
+      Model skip = build();
+      Model full = build();
+      full.layer(0).set_input_grad(true);
+
+      common::Rng data_rng(25);
+      const Tensor x = Tensor::randn({20, kFeatures}, data_rng);
+      std::vector<std::uint16_t> labels(20);
+      for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = static_cast<std::uint16_t>(i % kClasses);
+      }
+      for (Model* model : {&skip, &full}) {
+        const auto loss = softmax_cross_entropy(model->forward(x, true), labels);
+        model->backward(loss.grad);
+      }
+      const auto a = skip.flat_grads();
+      const auto b = full.flat_grads();
+      ASSERT_EQ(a.size(), b.size());
+      std::size_t differing = 0;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        differing += std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]);
+      }
+      EXPECT_EQ(differing, 0u) << arch << " " << tensor::ops::kernel_policy_name(policy);
+    }
+  }
 }
 
 TEST(Model, AddRejectsNull) {
