@@ -76,6 +76,7 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_bounds(
   const std::size_t total = end > begin ? end - begin : 0;
   if (total == 0 || chunks == 0) return {begin, begin};
   chunks = std::min(chunks, total);
+  if (c >= chunks) return {end, end};
   const std::size_t base = total / chunks;
   const std::size_t extra = total % chunks;
   const std::size_t lo = begin + c * base + std::min(c, extra);

@@ -73,6 +73,8 @@ class ThreadPool {
 
   /// The [lo, hi) range of chunk `c` under parallel_for_chunks' balanced
   /// partition (sizes differ by at most one; earlier chunks get the slack).
+  /// Chunk indices at or past min(chunks, end - begin) get the empty range
+  /// {end, end}, so a serial loop over all `chunks` indices stays in range.
   [[nodiscard]] static std::pair<std::size_t, std::size_t> chunk_bounds(
       std::size_t begin, std::size_t end, std::size_t chunks, std::size_t c) noexcept;
 

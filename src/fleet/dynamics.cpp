@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+
+#include "common/thread_pool.hpp"
 
 namespace fedsched::fleet {
 
@@ -45,6 +48,31 @@ double on_duration(double a, double b, double phase, double period,
                    double on) noexcept {
   if (b <= a) return 0.0;
   return on_measure(b + phase, period, on) - on_measure(a + phase, period, on);
+}
+
+/// Clients per chunk of the per-client passes on a pool.
+constexpr std::size_t kClientGrain = 8192;
+
+/// fn(lo, hi) over the clients [0, n): one call on the caller without a
+/// pool, else one call per fixed chunk of kClientGrain clients on the pool.
+/// Returns the per-call results in chunk order.
+template <typename Fn>
+auto map_client_chunks(common::ThreadPool* pool, std::size_t n, const Fn& fn) {
+  using Result = std::invoke_result_t<const Fn&, std::size_t, std::size_t>;
+  const std::size_t chunks =
+      pool == nullptr ? 1
+                      : std::max<std::size_t>(
+                            1, common::ThreadPool::grain_chunks(n, kClientGrain));
+  std::vector<Result> results(chunks);
+  if (chunks == 1) {
+    results[0] = fn(0, n);
+  } else {
+    pool->parallel_for_chunks(
+        0, n, chunks, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+          results[c] = fn(lo, hi);
+        });
+  }
+  return results;
 }
 
 void validate_fraction(double v, const char* what) {
@@ -181,32 +209,46 @@ void ClientDynamics::charge_edges_within(std::size_t j, double limit,
 
 std::vector<DynEvent> ClientDynamics::churn_events(const FleetState& state,
                                                    std::size_t round,
-                                                   double span) const {
-  std::vector<DynEvent> events;
+                                                   double span,
+                                                   common::ThreadPool* pool) const {
   if (span <= 0.0) span = 1.0;  // degenerate round: pin draws at time 0..span
 
-  std::size_t alive_count = 0;
-  const std::size_t n = state.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (state.alive[j] == 0 || departed(j)) continue;
-    ++alive_count;
-    if (config_.leave_prob_per_round > 0.0) {
-      const std::uint64_t h = mix(mix(config_.seed ^ kLeaveTag, round), j);
-      if (hash_to_unit(h) < config_.leave_prob_per_round) {
-        const double when =
-            span * hash_to_unit(mix(h, kWhenSalt));
-        events.push_back({when, DynEvent::Kind::kLeave,
-                          static_cast<std::uint32_t>(j)});
+  struct Draws {
+    std::vector<DynEvent> events;
+    std::size_t alive = 0;
+  };
+  const auto draw = [&](std::size_t lo, std::size_t hi) {
+    Draws out;
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (state.alive[j] == 0 || departed(j)) continue;
+      ++out.alive;
+      if (config_.leave_prob_per_round > 0.0) {
+        const std::uint64_t h = mix(mix(config_.seed ^ kLeaveTag, round), j);
+        if (hash_to_unit(h) < config_.leave_prob_per_round) {
+          const double when =
+              span * hash_to_unit(mix(h, kWhenSalt));
+          out.events.push_back({when, DynEvent::Kind::kLeave,
+                                static_cast<std::uint32_t>(j)});
+        }
+      }
+      if (config_.net_switch_prob_per_round > 0.0) {
+        const std::uint64_t h = mix(mix(config_.seed ^ kNetTag, round), j);
+        if (hash_to_unit(h) < config_.net_switch_prob_per_round) {
+          const double when = span * hash_to_unit(mix(h, kWhenSalt));
+          out.events.push_back({when, DynEvent::Kind::kNetSwitch,
+                                static_cast<std::uint32_t>(j)});
+        }
       }
     }
-    if (config_.net_switch_prob_per_round > 0.0) {
-      const std::uint64_t h = mix(mix(config_.seed ^ kNetTag, round), j);
-      if (hash_to_unit(h) < config_.net_switch_prob_per_round) {
-        const double when = span * hash_to_unit(mix(h, kWhenSalt));
-        events.push_back({when, DynEvent::Kind::kNetSwitch,
-                          static_cast<std::uint32_t>(j)});
-      }
-    }
+    return out;
+  };
+  std::vector<Draws> chunks = map_client_chunks(pool, state.size(), draw);
+
+  std::vector<DynEvent> events = std::move(chunks[0].events);
+  std::size_t alive_count = chunks[0].alive;
+  for (std::size_t c = 1; c < chunks.size(); ++c) {
+    events.insert(events.end(), chunks[c].events.begin(), chunks[c].events.end());
+    alive_count += chunks[c].alive;
   }
 
   if (config_.join_fraction_per_round > 0.0) {
@@ -222,13 +264,6 @@ std::vector<DynEvent> ClientDynamics::churn_events(const FleetState& state,
                         static_cast<std::uint32_t>(i)});
     }
   }
-
-  std::sort(events.begin(), events.end(),
-            [](const DynEvent& a, const DynEvent& b) {
-              if (a.time_s != b.time_s) return a.time_s < b.time_s;
-              if (a.kind != b.kind) return a.kind < b.kind;
-              return a.client < b.client;
-            });
   return events;
 }
 
@@ -253,31 +288,39 @@ std::uint32_t ClientDynamics::append_join(FleetState& state) {
   return static_cast<std::uint32_t>(id);
 }
 
-std::size_t ClientDynamics::finish_round(FleetState& state, double span_s) {
+std::size_t ClientDynamics::finish_round(FleetState& state, double span_s,
+                                         common::ThreadPool* pool) {
   const double t0 = now_s_;
   const double t1 = t0 + std::max(0.0, span_s) + config_.round_gap_s;
   std::size_t revived = 0;
   if (config_.charging && config_.charge_power_w > 0.0 && t1 > t0) {
     ensure_size(state.size());
     const double window = config_.charge_fraction * config_.charge_period_s;
-    for (std::size_t j = 0; j < state.size(); ++j) {
-      if (departed(j)) continue;
-      const double plugged_s = on_duration(t0, t1, charge_phase_[j],
-                                           config_.charge_period_s, window);
-      if (plugged_s <= 0.0) continue;
-      state.battery_soc[j] =
-          std::min(1.0, state.battery_soc[j] + config_.charge_power_w *
-                                                   plugged_s / 3600.0 /
-                                                   state.battery_capacity_wh[j]);
-      if (state.alive[j] == 0 &&
-          state.battery_soc[j] >=
-              config_.battery_floor_soc + config_.revive_margin_soc) {
-        // A dead client that recharged above the floor re-enters the fleet;
-        // the next replan recomputes its cost row from scratch (no stale
-        // zero-capacity row survives — the mask is never cached).
-        state.alive[j] = 1;
-        ++revived;
+    const auto charge = [&](std::size_t lo, std::size_t hi) {
+      std::size_t chunk_revived = 0;
+      for (std::size_t j = lo; j < hi; ++j) {
+        if (departed(j)) continue;
+        const double plugged_s = on_duration(t0, t1, charge_phase_[j],
+                                             config_.charge_period_s, window);
+        if (plugged_s <= 0.0) continue;
+        state.battery_soc[j] = std::min(
+            1.0, state.battery_soc[j] + config_.charge_power_w * plugged_s /
+                                            3600.0 /
+                                            state.battery_capacity_wh[j]);
+        if (state.alive[j] == 0 &&
+            state.battery_soc[j] >=
+                config_.battery_floor_soc + config_.revive_margin_soc) {
+          // A dead client that recharged above the floor re-enters the
+          // fleet; the next replan recomputes its cost row from scratch (no
+          // stale zero-capacity row survives — the mask is never cached).
+          state.alive[j] = 1;
+          ++chunk_revived;
+        }
       }
+      return chunk_revived;
+    };
+    for (std::size_t count : map_client_chunks(pool, state.size(), charge)) {
+      revived += count;
     }
   }
   now_s_ = t1;
@@ -304,31 +347,11 @@ sched::LinearCosts dynamic_linear_costs(const FleetState& state,
                                         std::size_t shard_size,
                                         ClientDynamics& dynamics,
                                         double battery_floor_soc) {
-  sched::LinearCosts costs = linear_costs(state, shard_size, battery_floor_soc);
-  if (!dynamics.enabled()) return costs;
+  if (!dynamics.enabled()) return linear_costs(state, shard_size, battery_floor_soc);
   dynamics.ensure_size(state.size());
-  const std::size_t n = state.size();
-  std::vector<double> base(n);
-  std::vector<double> per_shard(n);
-  std::vector<std::uint32_t> capacity(n);
-  std::vector<double> base_wh(n);
-  std::vector<double> per_shard_wh(n);
-  std::vector<double> budget_wh(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    base[j] = costs.base_seconds(j);
-    per_shard[j] = costs.per_shard_seconds(j);
-    capacity[j] = dynamics.schedulable(state, j)
-                      ? static_cast<std::uint32_t>(costs.capacity(j))
-                      : 0;
-    base_wh[j] = costs.base_energy_wh(j);
-    per_shard_wh[j] = costs.per_shard_energy_wh(j);
-    budget_wh[j] = costs.battery_budget_wh(j);
-  }
-  sched::LinearCosts masked(std::move(base), std::move(per_shard),
-                            std::move(capacity), shard_size);
-  masked.set_energy(std::move(base_wh), std::move(per_shard_wh),
-                    std::move(budget_wh));
-  return masked;
+  return linear_costs(state, shard_size, battery_floor_soc, [&](std::size_t j) {
+    return dynamics.schedulable(state, j);
+  });
 }
 
 }  // namespace fedsched::fleet

@@ -40,6 +40,10 @@
 
 #include "fleet/fleet.hpp"
 
+namespace fedsched::common {
+class ThreadPool;
+}  // namespace fedsched::common
+
 namespace fedsched::fleet {
 
 struct DynamicsConfig {
@@ -157,12 +161,19 @@ class ClientDynamics {
 
   /// All churn / network events for `round` spread over [0, span): leave and
   /// net-switch draws for every alive, non-departed client, plus join
-  /// arrivals sized from the alive count. Sorted by (time, kind, client).
-  [[nodiscard]] std::vector<DynEvent> churn_events(const FleetState& state,
-                                                   std::size_t round,
-                                                   double span) const;
+  /// arrivals sized from the alive count. Returned in draw order, not time
+  /// order: by client id (a client's leave before its net switch), then the
+  /// joins by arrival index. FleetSimulator sorts them together with the
+  /// round's other events; its stable sort relies on each kind's events
+  /// arriving in ascending client (or arrival) order, as they do here. With
+  /// a pool the draws run over fixed client chunks concatenated in chunk
+  /// order, so the result does not depend on the pool.
+  [[nodiscard]] std::vector<DynEvent> churn_events(
+      const FleetState& state, std::size_t round, double span,
+      common::ThreadPool* pool = nullptr) const;
 
-  /// Effect handlers, called by the simulator as events pop.
+  /// Effect handlers, called by the simulator as it walks the round's
+  /// sorted events.
   void mark_departed(std::size_t j);
   /// Swap client j's network-cost row (WiFi<->LTE); returns the new network.
   std::uint8_t apply_net_switch(FleetState& state, std::size_t j) const;
@@ -171,8 +182,12 @@ class ClientDynamics {
 
   /// Close the round: integrate charging over [now_s, now_s + span +
   /// round_gap_s] for every client, revive charged-up dead clients, advance
-  /// the clock. Returns the number of revivals.
-  std::size_t finish_round(FleetState& state, double span_s);
+  /// the clock. Returns the number of revivals. Each client's update reads
+  /// and writes only its own entries, so with a pool the clients are charged
+  /// in fixed chunks and the per-chunk revival counts summed: integers, so
+  /// the result is the same in any order.
+  std::size_t finish_round(FleetState& state, double span_s,
+                           common::ThreadPool* pool = nullptr);
 
   /// Bitwise-stable save/restore (tests pin snapshot -> restore -> continue
   /// against an uninterrupted run).
@@ -189,12 +204,13 @@ class ClientDynamics {
   std::vector<double> charge_phase_;
 };
 
-/// Dynamics-aware scheduler view: same affine costs and energy model as
-/// fleet::linear_costs, with capacity zeroed for every client the dynamics
-/// layer rules out (dead, departed, outside its availability window, or
-/// unplugged under charge_only). The mask is recomputed from live state on
-/// every call — never cached — so a client that dies and later re-enters via
-/// charging gets a fresh row at the next replan.
+/// Dynamics-aware scheduler view: fleet::linear_costs with the dynamics
+/// layer's schedulable() as its predicate, so capacity is zeroed for every
+/// client the layer rules out (dead, departed, outside its availability
+/// window, or unplugged under charge_only) in the one pass that builds the
+/// view. The mask is recomputed from live state on every call — never
+/// cached — so a client that dies and later re-enters via charging gets a
+/// fresh row at the next replan.
 [[nodiscard]] sched::LinearCosts dynamic_linear_costs(
     const FleetState& state, std::size_t shard_size, ClientDynamics& dynamics,
     double battery_floor_soc = 0.05);

@@ -1,9 +1,10 @@
 #include "fleet/event_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -25,6 +26,51 @@ constexpr std::uint64_t kUpdateTag = 0x7570646174657321ULL;
 
 double hash_to_unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// One event of a round. Dynamics kinds (0..4, fleet/dynamics.hpp) rank
+/// before kFinish at equal times: availability windows are half-open, so a
+/// closure at exactly the finish instant cancels the report.
+constexpr std::uint8_t kFinish = 5;
+struct Event {
+  double time_s;
+  std::uint8_t kind;
+  std::uint32_t client;
+};
+
+/// Order-preserving integer image of a finite time: a < b iff
+/// time_key(a) < time_key(b). Adding 0.0 first turns -0.0 into +0.0, so
+/// times that compare equal get equal keys.
+std::uint64_t time_key(double t) noexcept {
+  const std::uint64_t b = std::bit_cast<std::uint64_t>(t + 0.0);
+  return b >> 63 ? ~b : b | (std::uint64_t{1} << 63);
+}
+
+/// Sort a round's events into (time, kind, client) order with one stable
+/// LSD radix sort: a pass on the kind, then four 16-bit digits of the time
+/// key. The caller appends each kind's events in ascending client order
+/// (admission walks the clients by id, churn draws come in draw order), and
+/// stability keeps that order among equal (time, kind), so the client
+/// tie-break needs no pass of its own. A digit that every event shares is
+/// skipped.
+void sort_events(std::vector<Event>& events) {
+  if (events.empty()) return;
+  constexpr std::size_t kRadix = std::size_t{1} << 16;
+  std::vector<Event> sorted(events.size());
+  std::vector<std::size_t> offset(kRadix);
+  const auto pass = [&](const auto& digit) {
+    std::fill(offset.begin(), offset.end(), 0);
+    for (const Event& ev : events) ++offset[digit(ev)];
+    if (offset[digit(events.front())] == events.size()) return;
+    std::size_t sum = 0;
+    for (std::size_t& o : offset) sum += std::exchange(o, sum);
+    for (const Event& ev : events) sorted[offset[digit(ev)]++] = ev;
+    events.swap(sorted);
+  };
+  pass([](const Event& ev) { return ev.kind; });
+  for (int shift = 0; shift < 64; shift += 16) {
+    pass([shift](const Event& ev) { return (time_key(ev.time_s) >> shift) & 0xffff; });
+  }
 }
 
 }  // namespace
@@ -50,7 +96,26 @@ void synthetic_update(std::uint64_t seed, std::size_t round, std::uint32_t clien
 
 FleetSimulator::FleetSimulator(FleetState state, FleetSimConfig config)
     : state_(std::move(state)), config_(config) {
-  if (state_.size() == 0) throw std::invalid_argument("FleetSimulator: empty fleet");
+  const std::size_t n = state_.size();
+  if (n == 0) throw std::invalid_argument("FleetSimulator: empty fleet");
+  const bool aligned =
+      state_.network.size() == n && state_.speed_factor.size() == n &&
+      state_.base_s.size() == n && state_.per_sample_s.size() == n &&
+      state_.comm_s.size() == n && state_.battery_soc.size() == n &&
+      state_.battery_capacity_wh.size() == n && state_.train_power_w.size() == n &&
+      state_.comm_energy_wh.size() == n && state_.temp_c.size() == n &&
+      state_.capacity_shards.size() == n && state_.alive.size() == n;
+  if (!aligned) throw std::invalid_argument("FleetSimulator: misaligned state columns");
+  for (std::size_t j = 0; j < n; ++j) {
+    // Event times are sums of these three: a NaN would break the strict
+    // order the round's sort needs, and an infinity would make the churn
+    // span infinite (inf * 0 is NaN).
+    if (!std::isfinite(state_.base_s[j]) || !std::isfinite(state_.per_sample_s[j]) ||
+        !std::isfinite(state_.comm_s[j])) {
+      throw std::invalid_argument(
+          "FleetSimulator: non-finite base_s, per_sample_s or comm_s");
+    }
+  }
   if (config_.shard_size == 0) {
     throw std::invalid_argument("FleetSimulator: zero shard size");
   }
@@ -78,34 +143,25 @@ FleetRoundResult FleetSimulator::run_round(
   FleetRoundResult result;
   result.round = round;
 
-  // One heap for everything: finish events and dynamics events, ordered by
-  // (time, kind, client). Dynamics kinds (0..4, fleet/dynamics.hpp) rank
-  // before kFinish at equal times — availability windows are half-open, so a
-  // closure at exactly the finish instant cancels the report. With dynamics
-  // off only kFinish events exist and the order is the classic
-  // (finish, client) order.
-  constexpr std::uint8_t kFinish = 5;
-  struct Event {
-    double time_s;
-    std::uint8_t kind;
-    std::uint32_t client;
-    bool operator>(const Event& o) const {
-      if (time_s != o.time_s) return time_s > o.time_s;
-      if (kind != o.kind) return kind > o.kind;
-      return client > o.client;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
+  // Every event of the round is known before the first one is handled:
+  // finish events and the dynamics events of in-flight clients come from
+  // admission, churn from draws, and no handler schedules a new event. So
+  // the round collects them in one vector, sorts it once by (time, kind,
+  // client) and walks it.
+  std::vector<Event> events;
 
-  // Per-client compute span of the in-flight attempt (indexed by round-start
-  // id); inflight[j] clears on finish or cancellation. Joins appended
-  // mid-round get ids >= initial_n and are never in-flight this round.
+  // Per-client progress of the round-start clients: admitted, then either
+  // cancelled, finished, or finished as a contributor. Joins appended
+  // mid-round get ids >= initial_n and never run this round.
+  enum : std::uint8_t { kIdle = 0, kInFlight = 1, kContributed = 2 };
   const std::size_t initial_n = state_.size();
+  std::vector<std::uint8_t> status(initial_n, kIdle);
+  // Compute span of each in-flight attempt, taken at admission (dynamics
+  // only: a mid-round net switch moves comm_s).
   std::vector<double> compute_s_of(dyn ? initial_n : 0, 0.0);
-  std::vector<std::uint8_t> inflight(dyn ? initial_n : 0, 0);
   std::vector<double> edge_scratch;
 
-  // Only plan participants enter the queue; idle clients are never touched.
+  // Only plan participants get events; idle clients are never touched.
   double plan_span = 0.0;
   for (std::size_t j = 0; j < initial_n; ++j) {
     const std::size_t shards = shards_per_client[j];
@@ -123,30 +179,33 @@ FleetRoundResult FleetSimulator::run_round(
         state_.per_sample_s[j] *
             static_cast<double>(shards * config_.shard_size);
     const double finish_s = compute_s + state_.comm_s[j];
-    queue.push({finish_s, kFinish, static_cast<std::uint32_t>(j)});
+    events.push_back({finish_s, kFinish, static_cast<std::uint32_t>(j)});
+    status[j] = kInFlight;
     plan_span = std::max(plan_span, finish_s);
     if (dyn) {
       compute_s_of[j] = compute_s;
-      inflight[j] = 1;
       const double off_s = dynamics->avail_off_within(j, finish_s);
       if (off_s < finish_s) {
-        queue.push({off_s, static_cast<std::uint8_t>(DynEvent::Kind::kAvailOff),
-                    static_cast<std::uint32_t>(j)});
+        events.push_back({off_s, static_cast<std::uint8_t>(DynEvent::Kind::kAvailOff),
+                          static_cast<std::uint32_t>(j)});
       }
       edge_scratch.clear();
       dynamics->charge_edges_within(j, finish_s, edge_scratch);
       for (double edge_s : edge_scratch) {
-        queue.push({edge_s, static_cast<std::uint8_t>(DynEvent::Kind::kChargeEdge),
-                    static_cast<std::uint32_t>(j)});
+        events.push_back({edge_s, static_cast<std::uint8_t>(DynEvent::Kind::kChargeEdge),
+                          static_cast<std::uint32_t>(j)});
       }
     }
   }
 
   if (dyn) {
-    for (const DynEvent& ev : dynamics->churn_events(state_, round, plan_span)) {
-      queue.push({ev.time_s, static_cast<std::uint8_t>(ev.kind), ev.client});
+    for (const DynEvent& ev :
+         dynamics->churn_events(state_, round, plan_span, pool_.get())) {
+      events.push_back({ev.time_s, static_cast<std::uint8_t>(ev.kind), ev.client});
     }
   }
+  sort_events(events);
+  result.events_processed = events.size();
 
   // Cancel an in-flight attempt at `at_s`: the compute burned so far drains
   // the battery, comm energy only if the upload already started. Death still
@@ -163,25 +222,23 @@ FleetRoundResult FleetSimulator::run_round(
       state_.alive[j] = 0;
       ++result.battery_deaths;
     }
-    inflight[j] = 0;
+    status[j] = kIdle;
     ++result.dropped_offline;
   };
 
-  while (!queue.empty()) {
-    const Event ev = queue.top();
-    queue.pop();
-    ++result.events_processed;
+  // The walk: energy is summed in event order, which fixes its rounding.
+  for (const Event& ev : events) {
     const std::uint32_t j = ev.client;
 
     if (ev.kind != kFinish) {
       switch (static_cast<DynEvent::Kind>(ev.kind)) {
         case DynEvent::Kind::kAvailOff:
-          if (inflight[j]) cancel_inflight(j, ev.time_s);
+          if (status[j] == kInFlight) cancel_inflight(j, ev.time_s);
           break;
         case DynEvent::Kind::kLeave:
           dynamics->mark_departed(j);
           ++result.leaves;
-          if (j < inflight.size() && inflight[j]) cancel_inflight(j, ev.time_s);
+          if (j < initial_n && status[j] == kInFlight) cancel_inflight(j, ev.time_s);
           break;
         case DynEvent::Kind::kChargeEdge:
           ++result.charge_edges;
@@ -198,13 +255,15 @@ FleetRoundResult FleetSimulator::run_round(
       continue;
     }
 
-    if (dyn && !inflight[j]) continue;  // cancelled before it finished
-    if (dyn) inflight[j] = 0;
+    if (status[j] != kInFlight) continue;  // cancelled before it finished
+    status[j] = kIdle;
 
     // The attempt burns energy whether or not the report makes it back. A
     // mid-round net-switch mutates comm_s, so with dynamics the compute span
     // comes from the snapshot taken at admission (the exchange energy uses
-    // the current row: the switch carried the actual bytes).
+    // the current row: the switch carried the actual bytes). Without
+    // dynamics it is finish - comm, which need not round back to the
+    // admission-time span: that is the rounding the results were pinned with.
     const double compute_s =
         dyn ? compute_s_of[j] : ev.time_s - state_.comm_s[j];
     const double drain_wh = state_.train_power_w[j] * compute_s / 3600.0 +
@@ -231,15 +290,21 @@ FleetRoundResult FleetSimulator::run_round(
       ++result.dropped_deadline;
       continue;
     }
-    result.contributors.push_back(j);
+    status[j] = kContributed;
+    ++result.completed;
     result.survivor_shards += shards_per_client[j];
     result.makespan_s = std::max(result.makespan_s, ev.time_s);
   }
-  result.completed = result.contributors.size();
+  events = {};
 
-  // Events arrive in finish order; canonicalize the member list to client-id
-  // order so the tree partition is a pure function of the survivor set.
-  std::sort(result.contributors.begin(), result.contributors.end());
+  // Emit the member list in client-id order, so the tree partition is a
+  // pure function of the survivor set.
+  result.contributors.reserve(result.completed);
+  for (std::size_t j = 0; j < initial_n; ++j) {
+    if (status[j] == kContributed) {
+      result.contributors.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
 
   const std::size_t dropped = result.dropped_crash + result.dropped_deadline +
                               result.dropped_offline;
@@ -275,7 +340,7 @@ FleetRoundResult FleetSimulator::run_round(
     // Close the round: integrate charging over the round span plus the
     // configured inter-round gap, revive charged-up dead clients, advance
     // the dynamics clock.
-    result.revivals = dynamics->finish_round(state_, result.makespan_s);
+    result.revivals = dynamics->finish_round(state_, result.makespan_s, pool_.get());
     if (metrics != nullptr) {
       metrics->add("fleet.joins", result.joins);
       metrics->add("fleet.leaves", result.leaves);

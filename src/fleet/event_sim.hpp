@@ -1,12 +1,29 @@
 #pragma once
 // Discrete-event round simulator for fleet-scale FL.
 //
-// A round advances a min-heap of (finish time, client) events instead of
-// stepping every client: only clients holding shards enter the queue, so a
-// 1M-client fleet where the plan touches 100k clients costs O(participants
-// log participants) — idle clients cost nothing. Events pop in (finish,
-// client-id) order, which fixes the processing order independently of how
-// the plan was produced.
+// A round handles events, not clients: only clients holding shards get
+// events. Its cost is linear in the round's E events (a fixed number of
+// radix-sort passes, then one walk) plus two byte-sized scans of the n
+// clients (admission reads the plan; the contributor list is read back in
+// id order), so an idle client costs a plan entry and a status byte, and
+// no event. Every event of a round is known before the first one is
+// handled: admission
+// yields each participant's finish and, with dynamics, its availability
+// closure and charge edges; churn comes from stateless draws; and no
+// handler schedules a new event. So the round collects its events in one
+// vector, sorts it once by (time, kind, client) and walks it in order.
+//
+// The order is strict: within a round a client has at most one finish, one
+// availability closure, one leave and one net switch, its charge edges
+// have strictly increasing times, and joins carry distinct arrival indices.
+// So the sorted sequence is the only one, the same sequence a min-heap over
+// these events popped, and it fixes the processing order independently of
+// how the plan was produced. Event times are finite by construction (the
+// constructor rejects non-finite timing columns), so the order is well
+// defined. The sort is a stable radix sort over an integer image of the
+// time, fed each kind's events in client order (fleet/event_sim.cpp);
+// tests/fleet/test_fleet_round_oracle.cpp checks it bitwise against the old
+// heap loop.
 //
 // Faults mirror the testbed tier's kinds at fleet fidelity: a hashed
 // per-(seed, round, client) dropout draw (crash), a round deadline, and
@@ -28,15 +45,20 @@
 // to the flat left-to-right sum at every --parallel width
 // (tests/fleet/test_fleet_sim.cpp).
 //
-// Client dynamics (fleet/dynamics.hpp) ride the same event heap as
+// Client dynamics (fleet/dynamics.hpp) join the same sorted event vector as
 // first-class events ranked *before* finish events at equal times:
 // availability-edge and leave cancel in-flight work (partial energy burned,
 // tallied as `dropped_offline`, which joins the deadline-hold rule),
 // charge-edge flips are observational counts, net-switch swaps the client's
 // network-cost row for future rounds, and join appends a new client through
 // the generator's prefix-stable extend. With a null or disabled dynamics
-// layer the loop degenerates to exactly the heap above — results and trace
-// bytes are bit-identical to a build without dynamics.
+// layer only finish events exist — results and trace bytes are
+// bit-identical to a build without dynamics.
+//
+// With `parallelism` > 1 the simulator's pool also runs the dynamics
+// layer's per-client passes (churn draws, end-of-round charging) over fixed
+// client chunks; both are exact in any order, so results stay bit-identical
+// at every width.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,7 +87,8 @@ struct FleetSimConfig {
   std::size_t update_dim = 32;
   /// Tree-aggregation fan-in (clients per shard-group partial).
   std::size_t group_size = 1024;
-  /// Aggregation worker threads: 1 = serial, 0 = hardware concurrency.
+  /// Worker threads for the tree aggregation and the dynamics layer's
+  /// per-client passes: 1 = serial, 0 = hardware concurrency.
   std::size_t parallelism = 1;
   std::uint64_t seed = 0x5eedULL;
 };
@@ -117,6 +140,9 @@ void synthetic_update(std::uint64_t seed, std::size_t round, std::uint32_t clien
 class FleetSimulator {
  public:
   /// Takes ownership of the state; battery/health mutate across rounds.
+  /// Throws std::invalid_argument for an empty fleet, columns whose length
+  /// differs from device_model's, or a non-finite base_s, per_sample_s or
+  /// comm_s (event times are built from them).
   FleetSimulator(FleetState state, FleetSimConfig config);
 
   [[nodiscard]] const FleetState& state() const noexcept { return state_; }

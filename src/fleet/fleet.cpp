@@ -212,7 +212,8 @@ FleetState FleetGenerator::generate(std::size_t n, obs::TraceWriter* trace) cons
 }
 
 sched::LinearCosts linear_costs(const FleetState& state, std::size_t shard_size,
-                                double battery_floor_soc) {
+                                double battery_floor_soc,
+                                const std::function<bool(std::size_t)>& schedulable) {
   const std::size_t n = state.size();
   std::vector<double> base(n);
   std::vector<double> per_shard(n);
@@ -231,6 +232,11 @@ sched::LinearCosts linear_costs(const FleetState& state, std::size_t shard_size,
     per_shard_wh[j] = state.train_power_w[j] * per_shard[j] / 3600.0;
     budget_wh[j] = std::max(0.0, state.battery_soc[j] - battery_floor_soc) *
                    state.battery_capacity_wh[j];
+  }
+  if (schedulable) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (capacity[j] != 0 && !schedulable(j)) capacity[j] = 0;
+    }
   }
   sched::LinearCosts costs(std::move(base), std::move(per_shard),
                            std::move(capacity), shard_size);

@@ -25,6 +25,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -131,9 +132,12 @@ class FleetGenerator {
 /// (per_sample_s * shard_size) * k, capacity 0 for dead clients. The view
 /// also carries the affine energy model (training power over the compute
 /// span plus comm energy) and each client's battery budget above
-/// `battery_floor_soc`, which the energy-aware schedulers consume.
-[[nodiscard]] sched::LinearCosts linear_costs(const FleetState& state,
-                                              std::size_t shard_size,
-                                              double battery_floor_soc = 0.05);
+/// `battery_floor_soc`, which the energy-aware schedulers consume. A
+/// non-empty `schedulable` predicate zeroes the capacity of every client it
+/// rejects as well (the dynamics layer's mask, fleet/dynamics.hpp).
+[[nodiscard]] sched::LinearCosts linear_costs(
+    const FleetState& state, std::size_t shard_size,
+    double battery_floor_soc = 0.05,
+    const std::function<bool(std::size_t)>& schedulable = {});
 
 }  // namespace fedsched::fleet

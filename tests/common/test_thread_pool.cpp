@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace fedsched::common {
@@ -98,6 +99,12 @@ TEST(ThreadPool, ChunkBoundsPartitionEveryRange) {
       EXPECT_EQ(cursor, total == 0 ? begin : end) << total << "/" << chunks;
       if (effective > 0) {
         EXPECT_LE(max_size - min_size, 1u) << total << "/" << chunks;
+      }
+      // Indices past the clamped chunk count get the empty range at `end`.
+      for (std::size_t c = effective; c < chunks + 2; ++c) {
+        const auto bounds = ThreadPool::chunk_bounds(begin, end, chunks, c);
+        EXPECT_EQ(bounds, std::make_pair(end, end))
+            << total << "/" << chunks << " chunk " << c;
       }
     }
   }

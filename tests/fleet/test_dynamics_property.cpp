@@ -12,6 +12,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -246,11 +247,25 @@ TEST(Dynamics, ChurnEventsAreAPureFunctionOfSeedRoundClient) {
       EXPECT_EQ(ea[i].time_s, eb[i].time_s);
       EXPECT_EQ(ea[i].kind, eb[i].kind);
       EXPECT_EQ(ea[i].client, eb[i].client);
+    }
+    // Draw order: per-client draws by client id, a client's leave before its
+    // net switch, then the joins by arrival index 0, 1, 2, ...
+    std::size_t joins = 0;
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+      if (ea[i].kind == DynEvent::Kind::kJoin) {
+        EXPECT_EQ(ea[i].client, joins) << "event " << i;
+        ++joins;
+        continue;
+      }
+      EXPECT_EQ(joins, 0u) << "client draw after a join at event " << i;
       if (i > 0) {
-        // Sorted by (time, kind, client).
-        EXPECT_LE(ea[i - 1].time_s, ea[i].time_s);
+        const auto key = [](const DynEvent& e) {
+          return std::make_pair(e.client, static_cast<int>(e.kind));
+        };
+        EXPECT_LT(key(ea[i - 1]), key(ea[i])) << "event " << i;
       }
     }
+    EXPECT_GT(joins, 0u);
   }
 }
 

@@ -318,6 +318,25 @@ TEST(FleetSim, Validation) {
   const std::vector<std::size_t> short_plan = {1};
   EXPECT_THROW(sim.run_round(short_plan, 0),
                std::invalid_argument);  // plan size mismatch
+
+  // A column shorter than device_model would be read out of bounds.
+  FleetState misaligned = tiny_fleet();
+  misaligned.battery_soc.pop_back();
+  EXPECT_THROW(FleetSimulator(std::move(misaligned), config), std::invalid_argument);
+
+  // Event times are built from these three columns: NaN breaks the round's
+  // strict event order, infinity makes the churn span infinite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FleetState nan_base = tiny_fleet();
+  nan_base.base_s[1] = nan;
+  EXPECT_THROW(FleetSimulator(std::move(nan_base), config), std::invalid_argument);
+  FleetState inf_per_sample = tiny_fleet();
+  inf_per_sample.per_sample_s[0] = inf;
+  EXPECT_THROW(FleetSimulator(std::move(inf_per_sample), config), std::invalid_argument);
+  FleetState nan_comm = tiny_fleet();
+  nan_comm.comm_s[0] = -nan;
+  EXPECT_THROW(FleetSimulator(std::move(nan_comm), config), std::invalid_argument);
 }
 
 }  // namespace
