@@ -1,11 +1,11 @@
 // Fleet scale-out — how far does the bucketed planning + event-driven round
 // path stretch as the population grows 1k -> 1M clients?
 //
-// Per size: generate the fleet (seeded mixture), solve a bucketed Fed-LBAP
-// plan for two shards per client on average, and simulate one full
+// Per size: open a fleet::Session (seeded mixture) and step one round: a
+// bucketed Fed-LBAP plan for two shards per client on average, then one full
 // discrete-event round (drops, battery drain, tree aggregation). Reported:
-// generation / planning / round wall seconds, planning throughput in
-// clients*shards per second, and peak RSS.
+// generation / planning / round wall seconds (round seconds include the cost
+// view), planning throughput in clients*shards per second, and peak RSS.
 //
 // Acceptance (exit non-zero on violation): the 1M-client case must finish
 // planning + one round in under 60 s with peak RSS under 4 GB.
@@ -28,10 +28,7 @@
 #include "bench_util.hpp"
 #include "common/json.hpp"
 #include "common/stopwatch.hpp"
-#include "device/model_desc.hpp"
-#include "fleet/event_sim.hpp"
-#include "fleet/fleet.hpp"
-#include "sched/bucketed.hpp"
+#include "fleet/session.hpp"
 
 using namespace fedsched;
 
@@ -63,35 +60,28 @@ SizeResult run_size(std::size_t clients, std::size_t buckets) {
   SizeResult r;
   r.clients = clients;
 
-  fleet::FleetMix mix;
-  mix.lte_fraction = 0.3;
-  mix.capacity_shards = 16;
-  const fleet::FleetGenerator generator(mix, device::lenet_desc(), 0xf1ee7);
+  fleet::SessionConfig config;
+  config.mix.lte_fraction = 0.3;
+  config.mix.capacity_shards = 16;
+  config.fleet_size = clients;
+  config.total_shards = 2 * clients;
+  config.buckets = buckets;
+  config.sim.dropout_prob = 0.1;
+  config.sim.update_dim = 32;
+  config.sim.parallelism = 0;  // all host threads; results bit-identical anyway
+  config.sim.seed = 0xf1ee7;
 
   common::Stopwatch generate_watch;
-  fleet::FleetState state = generator.generate(clients);
+  fleet::Session session(config);
   r.generate_s = generate_watch.seconds();
 
-  const std::size_t total_shards = 2 * clients;
-  const sched::LinearCosts costs = fleet::linear_costs(state, 100);
-  common::Stopwatch plan_watch;
-  const sched::BucketedLbapResult planned =
-      sched::fed_lbap_bucketed(costs, total_shards, buckets);
-  r.plan_s = plan_watch.seconds();
-  r.throughput = static_cast<double>(clients) *
-                 static_cast<double>(total_shards) / r.plan_s;
-
-  fleet::FleetSimConfig config;
-  config.shard_size = 100;
-  config.dropout_prob = 0.1;
-  config.update_dim = 32;
-  config.parallelism = 0;  // all host threads; results bit-identical anyway
-  config.seed = 0xf1ee7;
-  fleet::FleetSimulator sim(std::move(state), config);
   common::Stopwatch round_watch;
-  const fleet::FleetRoundResult round =
-      sim.run_round(planned.assignment.shards_per_user, 0);
-  r.round_s = round_watch.seconds();
+  const fleet::SessionRound step = session.step(0);
+  r.plan_s = step.plan_s;
+  r.round_s = round_watch.seconds() - step.plan_s;
+  r.throughput = static_cast<double>(clients) *
+                 static_cast<double>(config.total_shards) / r.plan_s;
+  const fleet::FleetRoundResult& round = step.result;
   r.makespan_s = round.makespan_s;
   r.completed = round.completed;
   r.dropped =

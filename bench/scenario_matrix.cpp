@@ -28,26 +28,13 @@
 
 #include "bench_util.hpp"
 #include "common/json.hpp"
-#include "common/stopwatch.hpp"
-#include "device/model_desc.hpp"
-#include "fleet/dynamics.hpp"
-#include "fleet/event_sim.hpp"
-#include "fleet/fleet.hpp"
-#include "sched/bucketed.hpp"
-#include "sched/minenergy.hpp"
-#include "sched/olar.hpp"
+#include "fleet/session.hpp"
 
 using namespace fedsched;
 
 namespace {
 
 constexpr std::uint64_t kSeed = 0x5ce7a810ULL;
-
-const std::vector<std::string>& policies() {
-  static const std::vector<std::string> kPolicies = {"fed_lbap", "fed_minavg",
-                                                     "olar", "fed_minenergy"};
-  return kPolicies;
-}
 
 struct CellResult {
   std::string policy;
@@ -76,54 +63,29 @@ CellResult run_cell(const std::string& policy, const std::string& scenario,
   // schedulers still assign those clients (they only see seconds) and kill
   // them on first contact, while fed_minenergy's battery budgets exclude
   // them — the deaths column is the visible difference.
-  fleet::FleetMix mix;
-  mix.lte_fraction = 0.3;
-  mix.soc_min = 0.04;
-  mix.capacity_shards = 16;
-  const fleet::FleetGenerator generator(mix, device::lenet_desc(), kSeed);
+  fleet::SessionConfig config;
+  config.mix.lte_fraction = 0.3;
+  config.mix.soc_min = 0.04;
+  config.mix.capacity_shards = 16;
+  config.fleet_size = clients;
+  config.total_shards = 2 * clients;
+  config.policy = policy;
+  config.sim.dropout_prob = 0.05;
+  config.sim.parallelism = 0;
+  config.sim.seed = kSeed;
+  config.dynamics = fleet::scenario_config(scenario, kSeed ^ 0x64796e616d696373ULL);
+  fleet::Session session(config);
 
-  fleet::DynamicsConfig dyn_config =
-      fleet::scenario_config(scenario, kSeed ^ 0x64796e616d696373ULL);
-  fleet::ClientDynamics dynamics(dyn_config, &generator);
-
-  fleet::FleetSimConfig config;
-  config.shard_size = 100;
-  config.dropout_prob = 0.05;
-  config.parallelism = 0;
-  config.seed = kSeed;
-  fleet::FleetSimulator sim(generator.generate(clients), config);
-
-  const std::size_t total_shards = 2 * clients;
   for (std::size_t round = 0; round < rounds; ++round) {
-    const sched::LinearCosts costs =
-        dynamics.enabled()
-            ? fleet::dynamic_linear_costs(sim.state(), config.shard_size,
-                                          dynamics, config.battery_floor_soc)
-            : fleet::linear_costs(sim.state(), config.shard_size,
-                                  config.battery_floor_soc);
-    common::Stopwatch plan_watch;
-    sched::Assignment plan;
-    if (policy == "fed_lbap") {
-      plan = sched::fed_lbap_bucketed(costs, total_shards, 64).assignment;
-    } else if (policy == "fed_minavg") {
-      plan = sched::fed_minavg_bucketed(costs, total_shards, 64).assignment;
-    } else if (policy == "olar") {
-      plan = sched::olar(costs, total_shards).assignment;
-    } else {
-      plan = sched::fed_minenergy(costs, total_shards).assignment;
-    }
-    r.plan_s += plan_watch.seconds();
-
-    const fleet::FleetRoundResult round_result =
-        sim.run_round(plan.shards_per_user, round, nullptr,
-                      dynamics.enabled() ? &dynamics : nullptr);
+    const fleet::SessionRound step = session.step(round);
+    const fleet::FleetRoundResult& round_result = step.result;
+    r.plan_s += step.plan_s;
     r.makespan_s += round_result.makespan_s;
     r.energy_wh += round_result.energy_wh;
     r.completed += round_result.completed;
     r.battery_deaths += round_result.battery_deaths;
-    std::size_t planned_shards = 0;
-    for (const std::size_t s : plan.shards_per_user) planned_shards += s;
-    r.dropped_shards += planned_shards - round_result.survivor_shards;
+    // Every planner places all of total_shards or throws.
+    r.dropped_shards += config.total_shards - round_result.survivor_shards;
     r.joins += round_result.joins;
     r.leaves += round_result.leaves;
     r.charge_edges += round_result.charge_edges;
@@ -131,7 +93,7 @@ CellResult run_cell(const std::string& policy, const std::string& scenario,
     r.revivals += round_result.revivals;
   }
   r.plan_throughput = static_cast<double>(clients) *
-                      static_cast<double>(total_shards) *
+                      static_cast<double>(config.total_shards) *
                       static_cast<double>(rounds) / r.plan_s;
   return r;
 }
@@ -150,7 +112,7 @@ int main(int argc, char** argv) {
   std::string cells_json;
   std::vector<CellResult> cells;
   double min_throughput = std::numeric_limits<double>::infinity();
-  for (const std::string& policy : policies()) {
+  for (const std::string& policy : fleet::planner_names()) {
     for (const std::string& scenario : fleet::scenario_names()) {
       cells.push_back(run_cell(policy, scenario, clients, rounds));
       const CellResult& r = cells.back();
@@ -194,14 +156,14 @@ int main(int argc, char** argv) {
                  scenario.c_str());
     std::exit(1);
   };
-  const CellResult& lbap = cell("fed_lbap", "charge-gated");
-  const CellResult& minenergy = cell("fed_minenergy", "charge-gated");
+  const CellResult& lbap = cell("fed-lbap", "charge-gated");
+  const CellResult& minenergy = cell("minenergy", "charge-gated");
 
   common::JsonObject doc;
   doc.field("bench", "scenario_matrix")
       .field("clients", clients)
       .field("rounds", rounds)
-      .field("policies", policies().size())
+      .field("policies", fleet::planner_names().size())
       .field("scenarios", fleet::scenario_names().size())
       .field("min_plan_throughput_cs_per_s", min_throughput)
       .field("charge_gated_lbap_energy_wh", lbap.energy_wh)

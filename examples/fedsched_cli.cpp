@@ -30,13 +30,8 @@
 #include "core/fedsched.hpp"
 #include "device/battery.hpp"
 #include "fl/report.hpp"
-#include "fleet/dynamics.hpp"
-#include "fleet/event_sim.hpp"
-#include "fleet/fleet.hpp"
+#include "fleet/session.hpp"
 #include "nn/serialize.hpp"
-#include "sched/bucketed.hpp"
-#include "sched/minenergy.hpp"
-#include "sched/olar.hpp"
 
 using namespace fedsched;
 
@@ -435,55 +430,34 @@ int cmd_energy(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-  const auto fleet_size =
-      static_cast<std::size_t>(args.get_int("fleet-size", 10'000));
-  if (fleet_size == 0) throw std::invalid_argument("--fleet-size must be > 0");
-  const auto& model = device::desc_by_name(args.get("model", "LeNet"));
-  const fleet::FleetMix mix = args.has("fleet-mix")
-                                  ? fleet::parse_fleet_mix(args.get("fleet-mix", ""))
-                                  : fleet::FleetMix{};
+  fleet::SessionConfig config;
+  config.fleet_size = static_cast<std::size_t>(args.get_int("fleet-size", 10'000));
+  if (config.fleet_size == 0) throw std::invalid_argument("--fleet-size must be > 0");
+  config.model = device::desc_by_name(args.get("model", "LeNet"));
+  config.mix = args.has("fleet-mix") ? fleet::parse_fleet_mix(args.get("fleet-mix", ""))
+                                     : fleet::FleetMix{};
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto shard = static_cast<std::size_t>(args.get_int("shard", 100));
-  const auto buckets = static_cast<std::size_t>(args.get_int("cost-buckets", 64));
+  config.buckets = static_cast<std::size_t>(args.get_int("cost-buckets", 64));
   const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 1));
   // Default load: two shards per client on average.
-  const auto total_shards = static_cast<std::size_t>(
-      args.get_int("total-shards", static_cast<long>(2 * fleet_size)));
-  const std::string policy = args.get("policy", "fed-lbap");
-  if (policy != "fed-lbap" && policy != "fed-minavg" && policy != "olar" &&
-      policy != "minenergy") {
-    throw std::invalid_argument(
-        "fleet supports --policy fed-lbap|fed-minavg (bucketed) |olar|minenergy "
-        "(exact)");
-  }
+  config.total_shards = static_cast<std::size_t>(
+      args.get_int("total-shards", static_cast<long>(2 * config.fleet_size)));
+  config.policy = args.get("policy", "fed-lbap");
+  config.sim.shard_size = static_cast<std::size_t>(args.get_int("shard", 100));
+  config.sim.deadline_s = deadline_from(args);
+  config.sim.dropout_prob = args.get_double("fault-dropout", 0.0);
+  config.sim.battery_floor_soc = args.get_double("fault-battery-floor", 0.05);
+  const long parallel = args.get_int("parallel", 1);
+  if (parallel < 0) throw std::invalid_argument("--parallel must be >= 0");
+  config.sim.parallelism = static_cast<std::size_t>(parallel);
+  config.sim.seed = seed;
+  config.dynamics = fleet::scenario_config(args.get("scenario", "static"),
+                                           seed ^ 0x64796e616d696373ULL);
 
   obs::TraceWriter trace = trace_from(args);
   obs::MetricsRegistry metrics;
-  fleet::FleetSimConfig config;
-  config.shard_size = shard;
-  config.deadline_s = deadline_from(args);
-  config.dropout_prob = args.get_double("fault-dropout", 0.0);
-  config.battery_floor_soc = args.get_double("fault-battery-floor", 0.05);
-  const long parallel = args.get_int("parallel", 1);
-  if (parallel < 0) throw std::invalid_argument("--parallel must be >= 0");
-  config.parallelism = static_cast<std::size_t>(parallel);
-  config.seed = seed;
-
-  // Scenario presets drive the dynamics layer; --charge-only forces the
-  // train-only-while-charging policy on top of whatever the scenario set.
-  fleet::DynamicsConfig dyn_config = fleet::scenario_config(
-      args.get("scenario", "static"), seed ^ 0x64796e616d696373ULL);
-  if (args.has("charge-only")) {
-    dyn_config.enabled = true;
-    dyn_config.charging = true;
-    dyn_config.charge_only = true;
-  }
-  dyn_config.battery_floor_soc = config.battery_floor_soc;
-
   common::Stopwatch generate_watch;
-  const fleet::FleetGenerator generator(mix, model, seed);
-  fleet::ClientDynamics dynamics(dyn_config, &generator);
-  fleet::FleetSimulator sim(generator.generate(fleet_size, &trace), config);
+  fleet::Session session(config, &trace);
   const double generate_s = generate_watch.seconds();
 
   common::Table table({"round", "plan_s", "threshold_s", "completed", "dropped",
@@ -491,41 +465,11 @@ int cmd_fleet(const Args& args) {
   std::size_t joins = 0, leaves = 0, charge_edges = 0, net_switches = 0,
               revivals = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
-    // Replan every round: battery deaths, churn and availability windows
-    // reshape the schedulable fleet (and joins grow it).
-    const sched::LinearCosts costs =
-        dynamics.enabled()
-            ? fleet::dynamic_linear_costs(sim.state(), shard, dynamics,
-                                          config.battery_floor_soc)
-            : fleet::linear_costs(sim.state(), shard, config.battery_floor_soc);
-    common::Stopwatch plan_watch;
-    sched::Assignment plan;
-    double threshold = 0.0;
-    if (policy == "fed-lbap") {
-      auto planned = sched::fed_lbap_bucketed(costs, total_shards, buckets, &trace);
-      threshold = planned.threshold_seconds;
-      plan = std::move(planned.assignment);
-    } else if (policy == "fed-minavg") {
-      auto planned =
-          sched::fed_minavg_bucketed(costs, total_shards, buckets, &trace);
-      threshold = planned.makespan_seconds;
-      plan = std::move(planned.assignment);
-    } else if (policy == "olar") {
-      auto planned = sched::olar(costs, total_shards, &trace);
-      threshold = planned.makespan_seconds;
-      plan = std::move(planned.assignment);
-    } else {
-      auto planned = sched::fed_minenergy(costs, total_shards, {}, &trace);
-      threshold = planned.makespan_seconds;
-      plan = std::move(planned.assignment);
-    }
-    const double plan_s = plan_watch.seconds();
-    const auto r = sim.run_round(plan.shards_per_user, round, &trace,
-                                 dynamics.enabled() ? &dynamics : nullptr,
-                                 &metrics);
+    const fleet::SessionRound step = session.step(round, &trace, &metrics);
+    const fleet::FleetRoundResult& r = step.result;
     const std::size_t dropped = r.dropped_crash + r.dropped_deadline +
                                 r.dropped_stale + r.dropped_offline;
-    table.add_row({static_cast<long long>(round), plan_s, threshold,
+    table.add_row({static_cast<long long>(round), step.plan_s, step.bound_s,
                    static_cast<long long>(r.completed),
                    static_cast<long long>(dropped), r.makespan_s, r.energy_wh});
     joins += r.joins;
@@ -537,11 +481,11 @@ int cmd_fleet(const Args& args) {
   table.print(std::cout);
 
   std::size_t alive = 0;
-  for (const std::uint8_t flag : sim.state().alive) alive += flag;
-  std::cout << "fleet of " << fleet_size << " clients generated in " << generate_s
-            << " s; " << alive << "/" << sim.state().size() << " alive after "
-            << rounds << " round(s)\n";
-  if (dynamics.enabled()) {
+  for (const std::uint8_t flag : session.state().alive) alive += flag;
+  std::cout << "fleet of " << config.fleet_size << " clients generated in "
+            << generate_s << " s; " << alive << "/" << session.state().size()
+            << " alive after " << rounds << " round(s)\n";
+  if (config.dynamics.enabled) {
     std::cout << "dynamics: " << joins << " joins, " << leaves << " leaves, "
               << charge_edges << " charge edges, " << net_switches
               << " net switches, " << revivals << " revivals\n";
@@ -867,7 +811,7 @@ void usage() {
       "  fleet     --fleet-size N --model <..> [--fleet-mix SPEC]\n"
       "            [--cost-buckets B] [--shard S] [--total-shards N]\n"
       "            [--rounds R] [--policy fed-lbap|fed-minavg|olar|minenergy]\n"
-      "            [--scenario NAME] [--charge-only] [--seed N]\n"
+      "            [--scenario NAME] [--seed N]\n"
       "            [--deadline S] [--fault-dropout P] [--parallel K]\n"
       "            [--trace-out FILE] [--metrics-out FILE]\n"
       "  serve     --root DIR [--socket PATH] [--workers N]\n"
@@ -881,20 +825,19 @@ void usage() {
       "  coord     --socket PATH (--ping | --list | --status ID | --trace ID\n"
       "            [--out FILE] | --result ID | --checkpoint ID --out FILE |\n"
       "            --metrics | --shutdown) [client retry flags]\n"
-      "fleet flags (bucketed schedulers over a generated 1k..1M population):\n"
+      "fleet flags (schedulers over a generated 1k..1M population):\n"
       "  --fleet-size N           clients to generate (default 10000)\n"
       "  --fleet-mix SPEC         population mixture, e.g.\n"
       "                           nexus6:0.4,mate10:0.4,pixel2:0.2,lte:0.5\n"
-      "  --cost-buckets B         cost-histogram buckets; makespan is within\n"
-      "                           one bucket width of exact (default 64)\n"
+      "  --cost-buckets B         fed-lbap/fed-minavg cost buckets; makespan is\n"
+      "                           within one bucket width of exact (default 64)\n"
       "  --total-shards N         shards to place (default 2x fleet size)\n"
-      "  --policy P               fed-lbap|fed-minavg (bucketed), olar (exact\n"
+      "  --policy P               fed-lbap|fed-minavg, olar (exact\n"
       "                           makespan-optimal greedy), minenergy (min\n"
       "                           total energy under a makespan cap + battery\n"
       "                           budgets)\n"
       "  --scenario NAME          client-dynamics preset: static|churn|diurnal|\n"
       "                           charge-gated|net-flap (default static = off)\n"
-      "  --charge-only            only schedule clients that are plugged in\n"
       "fault flags (any non-zero hazard enables injection; all deterministic\n"
       "per seed):\n"
       "  --fault-dropout P        per-round client crash probability\n"

@@ -8,9 +8,6 @@
 #include "coord/registry.hpp"
 #include "device/model_desc.hpp"
 #include "fl/checkpoint/codec.hpp"
-#include "fleet/event_sim.hpp"
-#include "fleet/fleet.hpp"
-#include "sched/bucketed.hpp"
 
 namespace fedsched::coord {
 
@@ -110,52 +107,31 @@ std::uint64_t regenerated_digest(const fleet::FleetState& s) {
   return h;
 }
 
-fleet::FleetState generate_fleet(const FleetRunSpec& spec, obs::TraceWriter* trace) {
-  const device::ModelDesc& desc =
-      spec.model == "VGG6" ? device::vgg6_desc() : device::lenet_desc();
-  const fleet::FleetMix mix =
-      spec.mix.empty() ? fleet::FleetMix{} : fleet::parse_fleet_mix(spec.mix);
-  return fleet::FleetGenerator(mix, desc, spec.seed).generate(spec.fleet_size, trace);
-}
-
-fleet::FleetSimConfig sim_config(const FleetRunSpec& spec) {
-  fleet::FleetSimConfig config;
-  config.shard_size = spec.shard;
-  config.deadline_s = spec.deadline_s;
-  config.dropout_prob = spec.dropout;
-  config.battery_floor_soc = spec.battery_floor;
-  config.parallelism = spec.parallelism;
-  config.seed = spec.seed;
+fleet::SessionConfig session_config(const FleetRunSpec& spec) {
+  fleet::SessionConfig config;
+  if (!spec.mix.empty()) config.mix = fleet::parse_fleet_mix(spec.mix);
+  config.model = device::desc_by_name(spec.model);
+  config.fleet_size = spec.fleet_size;
+  config.total_shards = spec.effective_total_shards();
+  config.policy = spec.policy;
+  config.buckets = spec.buckets;
+  config.sim.shard_size = spec.shard;
+  config.sim.deadline_s = spec.deadline_s;
+  config.sim.dropout_prob = spec.dropout;
+  config.sim.battery_floor_soc = spec.battery_floor;
+  config.sim.parallelism = spec.parallelism;
+  config.sim.seed = spec.seed;
   return config;
 }
 
 }  // namespace
 
-FleetPlan plan_fleet_round(const std::string& policy,
-                           const sched::LinearCosts& costs,
-                           std::size_t total_shards, std::size_t buckets,
-                           obs::TraceWriter* trace) {
-  FleetPlan plan;
-  if (policy == "fed-lbap") {
-    auto planned = sched::fed_lbap_bucketed(costs, total_shards, buckets, trace);
-    plan.threshold_s = planned.threshold_seconds;
-    plan.assignment = std::move(planned.assignment);
-  } else if (policy == "fed-minavg") {
-    auto planned = sched::fed_minavg_bucketed(costs, total_shards, buckets, trace);
-    plan.threshold_s = planned.makespan_seconds;
-    plan.assignment = std::move(planned.assignment);
-  } else {
-    throw std::runtime_error("fleet job: unknown policy '" + policy + "'");
-  }
-  return plan;
-}
-
 FleetSession::FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
-                           std::string trace_path, fleet::FleetState state)
+                           std::string trace_path, fleet::Session session)
     : spec_(spec),
       ckpt_path_(std::move(ckpt_path)),
       trace_path_(std::move(trace_path)),
-      sim_(std::move(state), sim_config(spec)) {}
+      session_(std::move(session)) {}
 
 FleetSession FleetSession::open(const FleetRunSpec& spec, std::string ckpt_path,
                                 std::string trace_path,
@@ -164,27 +140,27 @@ FleetSession FleetSession::open(const FleetRunSpec& spec, std::string ckpt_path,
     std::ostringstream sink;
     obs::TraceWriter trace(sink);
     trace.enable_capture();
-    fleet::FleetState state = generate_fleet(spec, &trace);
-    const std::uint64_t digest = regenerated_digest(state);
     FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
-                         std::move(state));
-    session.digest_ = digest;
+                         fleet::Session(session_config(spec), &trace));
+    session.digest_ = regenerated_digest(session.session_.state());
     session.trace_prefix_ = trace.captured();
     session.trace_events_ = trace.captured_events();
     return session;
   }
 
   FleetCheckpoint ckpt = load_fleet_checkpoint(ckpt_path);
-  fleet::FleetState state = generate_fleet(spec, nullptr);
-  if (regenerated_digest(state) != ckpt.digest || state.size() != ckpt.clients) {
-    throw std::runtime_error("fleet checkpoint: " + ckpt_path +
-                             ": regenerated fleet digest mismatch (the spec or "
-                             "the generator changed under the checkpoint)");
-  }
-  state.battery_soc = std::move(ckpt.battery_soc);
-  state.alive = std::move(ckpt.alive);
+  const auto restore = [&](fleet::FleetState& state) {
+    if (regenerated_digest(state) != ckpt.digest || state.size() != ckpt.clients) {
+      throw std::runtime_error("fleet checkpoint: " + ckpt_path +
+                               ": regenerated fleet digest mismatch (the spec or "
+                               "the generator changed under the checkpoint)");
+    }
+    state.battery_soc = std::move(ckpt.battery_soc);
+    state.alive = std::move(ckpt.alive);
+  };
+  fleet::Session restored(session_config(spec), nullptr, restore);
   FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
-                       std::move(state));
+                       std::move(restored));
   session.digest_ = ckpt.digest;
   session.rounds_completed_ = ckpt.rounds_completed;
   session.summaries_ = std::move(ckpt.summaries);
@@ -214,15 +190,9 @@ FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
     return {rounds_completed_, rounds_completed_ == spec_.rounds};
   }
 
-  // Replan every round — battery deaths shrink the schedulable fleet — then
-  // simulate it, exactly the `fedsched_cli fleet` loop body.
-  const sched::LinearCosts costs = fleet::linear_costs(sim_.state(), spec_.shard);
-  const FleetPlan plan = plan_fleet_round(spec_.policy, costs,
-                                          spec_.effective_total_shards(),
-                                          spec_.buckets, &trace);
-  const fleet::FleetRoundResult r =
-      sim_.run_round(plan.assignment.shards_per_user, completed_rounds, &trace);
+  const fleet::SessionRound round = session_.step(completed_rounds, &trace);
   trace.flush();
+  const fleet::FleetRoundResult& r = round.result;
 
   FleetRoundSummary summary;
   summary.round = r.round;
@@ -233,7 +203,7 @@ FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
   summary.dropped_stale = r.dropped_stale;
   summary.battery_deaths = r.battery_deaths;
   summary.survivor_shards = r.survivor_shards;
-  summary.threshold_s = plan.threshold_s;
+  summary.threshold_s = round.bound_s;
   summary.makespan_s = r.makespan_s;
   summary.energy_wh = r.energy_wh;
   summaries_.push_back(summary);
@@ -241,7 +211,7 @@ FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
   trace_prefix_ = trace.captured();
   trace_events_ = trace.captured_events();
 
-  const fleet::FleetState& s = sim_.state();
+  const fleet::FleetState& s = session_.state();
   fc::PayloadWriter out;
   out.put_u64(rounds_completed_);
   out.put_u64(s.size());

@@ -1,14 +1,14 @@
 #pragma once
 // Checkpointed round-at-a-time stepping for fleet-tier runs.
 //
-// A fleet run replans and simulates one round per step, exactly as
-// `fedsched_cli fleet` does in its loop: linear_costs over the surviving
-// fleet, a bucketed schedule (emitting its sched_* trace event), then
-// FleetSimulator::run_round (emitting fleet_round). The fleet is generated
-// inside the first step with the same seed, so even the fleet_generate event
-// matches and the final trace file is byte-identical to the one-shot CLI's.
+// A fleet run steps the fleet::Session (fleet/session.hpp) that
+// `fedsched_cli fleet` steps: each step replans and simulates one round,
+// emitting the planner's sched_* event and fleet_round. The fleet is
+// generated when the run opens, with the same seed, so even the
+// fleet_generate event matches and the final trace file is byte-identical
+// to the one-shot CLI's.
 //
-// Residency: a FleetSession is one run between steps — the FleetSimulator
+// Residency: a FleetSession is one run between steps — the fleet::Session
 // (owning the FleetState), the round summaries, the captured trace prefix
 // and the digest below. The coordinator keeps it in the run's slot, so a
 // step reads nothing back from disk. run_fleet_step is open + step, the same
@@ -24,7 +24,8 @@
 // trace prefix with its event count. Restore regenerates the fleet (no trace
 // writer), checks the FNV-1a digest over the eleven columns it did not
 // store — `network` and the two comm columns included, since coordinator
-// fleet specs carry no scenario — and overlays the two stored ones. A
+// fleet specs carry no scenario — and overlays the two stored ones through
+// the Session's restore hook, before the simulator takes the fleet. A
 // mismatch (a spec edited under its checkpoint, a generator change) throws
 // std::runtime_error; it never resumes a silently different fleet. An FSF1
 // file fails fc::open's magic check.
@@ -35,10 +36,7 @@
 #include <vector>
 
 #include "coord/spec.hpp"
-#include "fleet/event_sim.hpp"
-#include "obs/trace.hpp"
-#include "sched/linear_costs.hpp"
-#include "sched/types.hpp"
+#include "fleet/session.hpp"
 
 namespace fedsched::coord {
 
@@ -56,22 +54,10 @@ struct FleetRoundSummary {
   std::size_t dropped_stale = 0;
   std::size_t battery_deaths = 0;
   std::size_t survivor_shards = 0;
-  double threshold_s = 0.0;  // the bucketed planner's bound for the round
+  double threshold_s = 0.0;  // the planner's bound (SessionRound::bound_s)
   double makespan_s = 0.0;
   double energy_wh = 0.0;
 };
-
-/// Policy dispatch shared with `fedsched_cli fleet`: solve one round's plan
-/// with the bucketed scheduler, returning the assignment and its bound.
-struct FleetPlan {
-  sched::Assignment assignment;
-  double threshold_s = 0.0;
-};
-[[nodiscard]] FleetPlan plan_fleet_round(const std::string& policy,
-                                         const sched::LinearCosts& costs,
-                                         std::size_t total_shards,
-                                         std::size_t buckets,
-                                         obs::TraceWriter* trace);
 
 struct FleetStepOutcome {
   std::size_t rounds_completed = 0;
@@ -106,12 +92,12 @@ class FleetSession {
 
  private:
   FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
-               std::string trace_path, fleet::FleetState state);
+               std::string trace_path, fleet::Session session);
 
   FleetRunSpec spec_;
   std::string ckpt_path_;
   std::string trace_path_;
-  fleet::FleetSimulator sim_;
+  fleet::Session session_;
   std::uint64_t digest_ = 0;
   std::size_t rounds_completed_ = 0;
   std::vector<FleetRoundSummary> summaries_;

@@ -1,10 +1,12 @@
 #include "coord/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "device/spec.hpp"
 #include "fleet/fleet.hpp"
+#include "fleet/session.hpp"
 
 namespace fedsched::coord {
 
@@ -80,8 +82,8 @@ FleetRunSpec parse_fleet(const JsonValue& v) {
   if (f.rounds == 0) fail("rounds must be > 0");
   f.total_shards = get_size(v, "total_shards", f.total_shards);
   f.policy = v.get_string("policy", f.policy);
-  if (f.policy != "fed-lbap" && f.policy != "fed-minavg") {
-    fail("fleet policy must be fed-lbap or fed-minavg, got '" + f.policy + "'");
+  if (std::ranges::count(fleet::planner_names(), f.policy) == 0) {
+    fail("unknown fleet policy '" + f.policy + "'");
   }
   f.deadline_s = v.get_number("deadline_s", f.deadline_s);
   if (std::isnan(f.deadline_s) || f.deadline_s <= 0.0) {

@@ -12,9 +12,8 @@
 // gossip runners are not yet spec-addressable; they remain one-shot CLI/
 // library runs until a later protocol version.
 //
-// parse_run_spec validates field kinds and ranges and throws
-// std::runtime_error on anything malformed — a rejected spec never touches
-// coordinator state.
+// parse_run_spec validates field kinds and ranges and throws on anything
+// malformed — a rejected spec never touches coordinator state.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,7 +49,7 @@ struct FleetRunSpec {
   std::size_t buckets = 64;
   std::size_t rounds = 1;
   std::size_t total_shards = 0;     // 0 = 2 * fleet_size (the CLI default)
-  std::string policy = "fed-lbap";  // fed-lbap | fed-minavg (bucketed)
+  std::string policy = "fed-lbap";  // one of fleet::planner_names()
   double deadline_s = std::numeric_limits<double>::infinity();
   double dropout = 0.0;
   double battery_floor = 0.05;
@@ -82,7 +81,8 @@ struct RunSpec {
 
 /// Parse and validate a spec object ({"id": ..., "kind": "train"|"fleet",
 /// ...}). Unknown kinds, wrong field types, and out-of-range values throw
-/// std::runtime_error.
+/// std::runtime_error; a malformed `mix` throws fleet::parse_fleet_mix's
+/// std::invalid_argument.
 [[nodiscard]] RunSpec parse_run_spec(const common::JsonValue& v);
 
 /// Canonical JSON rendering; parse_run_spec round-trips it.

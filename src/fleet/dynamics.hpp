@@ -213,6 +213,6 @@ class ClientDynamics {
 /// fresh row at the next replan.
 [[nodiscard]] sched::LinearCosts dynamic_linear_costs(
     const FleetState& state, std::size_t shard_size, ClientDynamics& dynamics,
-    double battery_floor_soc = 0.05);
+    double battery_floor_soc);
 
 }  // namespace fedsched::fleet

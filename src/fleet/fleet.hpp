@@ -136,8 +136,7 @@ class FleetGenerator {
 /// non-empty `schedulable` predicate zeroes the capacity of every client it
 /// rejects as well (the dynamics layer's mask, fleet/dynamics.hpp).
 [[nodiscard]] sched::LinearCosts linear_costs(
-    const FleetState& state, std::size_t shard_size,
-    double battery_floor_soc = 0.05,
+    const FleetState& state, std::size_t shard_size, double battery_floor_soc,
     const std::function<bool(std::size_t)>& schedulable = {});
 
 }  // namespace fedsched::fleet

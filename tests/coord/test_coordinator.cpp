@@ -4,7 +4,9 @@
 //   * multiplexing determinism — a run's trace bytes and result document are
 //     identical whether it ran alone or interleaved with neighbors, and
 //     identical to the library one-shot path (run_train_oneshot), which is
-//     itself what `fedsched_cli train --checkpoint-every 1` drives;
+//     itself what `fedsched_cli train --checkpoint-every 1` drives; a fleet
+//     run's trace and result equal one fleet::Session stepped in one
+//     process, the driver `fedsched_cli fleet` steps, for every planner;
 //   * kill-and-resume — a coordinator constructed over a root holding a
 //     half-finished run resumes it from its checkpoint and finishes with
 //     byte-identical artifacts;
@@ -17,6 +19,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.hpp"
 #include "coord/coordinator.hpp"
@@ -24,6 +27,8 @@
 #include "coord/registry.hpp"
 #include "coord/train_job.hpp"
 #include "coord/wire.hpp"
+#include "fleet/session.hpp"
+#include "obs/trace.hpp"
 
 namespace fedsched::coord {
 namespace {
@@ -182,6 +187,72 @@ TEST_F(CoordService, TrainRunMatchesLibraryOneShot) {
             read_file(ref_ckpt, "test: reference checkpoint"));
   EXPECT_EQ(coordinator.result_document("t1"),
             train_result_json(spec.train, reference) + "\n");
+}
+
+TEST_F(CoordService, FleetRunMatchesSessionOneShot) {
+  // A floor far above the 0.05 default: the cost view's battery budgets,
+  // which steer minenergy, must use the spec's floor as the CLI's does.
+  for (const std::string& policy : fleet::planner_names()) {
+    SCOPED_TRACE(policy);
+    RunSpec spec = fleet_spec("f1", 7, 2);
+    spec.fleet.policy = policy;
+    spec.fleet.battery_floor = 0.8;
+    Coordinator coordinator(config(root(policy)));
+    ASSERT_TRUE(coordinator.submit(spec).accepted);
+    coordinator.wait_all_done();
+    ASSERT_EQ(coordinator.status("f1")->status, RunStatus::kDone)
+        << coordinator.status("f1")->error;
+
+    // The reference: one fleet::Session stepped in one process, configured
+    // as `fedsched_cli fleet --fleet-size 300 --cost-buckets 16 --rounds 2
+    // --seed 7 --policy P --fault-battery-floor 0.8` configures it.
+    fleet::SessionConfig oneshot;
+    oneshot.fleet_size = 300;
+    oneshot.total_shards = 600;
+    oneshot.policy = policy;
+    oneshot.buckets = 16;
+    oneshot.sim.battery_floor_soc = 0.8;
+    oneshot.sim.seed = 7;
+    const std::string ref_trace = (base_ / (policy + ".trace.jsonl")).string();
+    std::vector<FleetRoundSummary> summaries;
+    {
+      obs::TraceWriter trace = obs::TraceWriter::to_file(ref_trace);
+      fleet::Session session(oneshot, &trace);
+      for (std::size_t round = 0; round < spec.fleet.rounds; ++round) {
+        const fleet::SessionRound r = session.step(round, &trace);
+        FleetRoundSummary s;
+        s.round = r.result.round;
+        s.participants = r.result.participants;
+        s.completed = r.result.completed;
+        s.dropped_crash = r.result.dropped_crash;
+        s.dropped_deadline = r.result.dropped_deadline;
+        s.dropped_stale = r.result.dropped_stale;
+        s.battery_deaths = r.result.battery_deaths;
+        s.survivor_shards = r.result.survivor_shards;
+        s.threshold_s = r.bound_s;
+        s.makespan_s = r.result.makespan_s;
+        s.energy_wh = r.result.energy_wh;
+        summaries.push_back(s);
+      }
+    }
+    EXPECT_EQ(coordinator.trace_bytes("f1"),
+              read_file(ref_trace, "test: reference trace"));
+    EXPECT_EQ(coordinator.result_document("f1"),
+              fleet_result_json(spec.fleet, summaries) + "\n");
+
+    // FSF2 is the coordinator's format, so its reference is the run's
+    // session kept resident in this process for every round.
+    const std::string ref_ckpt = (base_ / (policy + ".ckpt")).string();
+    FleetSession resident = FleetSession::open(
+        spec.fleet, ref_ckpt, (base_ / (policy + ".resident.jsonl")).string(), 0);
+    for (std::size_t round = 0; round < spec.fleet.rounds; ++round) {
+      (void)resident.step(round);
+    }
+    EXPECT_EQ(coordinator.checkpoint_bytes("f1"),
+              read_file(ref_ckpt, "test: reference checkpoint"));
+    EXPECT_EQ(fleet_result_json(spec.fleet, load_fleet_summaries(ref_ckpt)),
+              fleet_result_json(spec.fleet, summaries));
+  }
 }
 
 TEST_F(CoordService, RestartResumesHalfFinishedRunBitIdentically) {

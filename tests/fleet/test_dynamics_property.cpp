@@ -202,7 +202,9 @@ TEST(Dynamics, DisabledLayerLeavesSimulatorBitIdentical) {
     std::ostringstream log;
     for (std::size_t round = 0; round < 3; ++round) {
       const std::vector<std::size_t> plan =
-          plan_for(linear_costs(sim.state(), config.shard_size), 1600);
+          plan_for(linear_costs(sim.state(), config.shard_size,
+                                config.battery_floor_soc),
+                   1600);
       const FleetRoundResult r =
           pass_disabled_layer
               ? sim.run_round(plan, round, &trace, &dyn)
@@ -324,7 +326,8 @@ TEST(Dynamics, ChargeRevivalGetsAFreshCostRowAtReplan) {
   // capacity row — this is the regression: a mask cached from while it was
   // dead would still be zero.
   const sched::LinearCosts costs =
-      dynamic_linear_costs(sim.state(), config.shard_size, dyn);
+      dynamic_linear_costs(sim.state(), config.shard_size, dyn,
+                           config.battery_floor_soc);
   EXPECT_EQ(costs.capacity(1), 100u);
   EXPECT_GT(costs.battery_budget_wh(1), 0.0);
 
@@ -356,7 +359,8 @@ TEST(Dynamics, DeadUnrevivedClientStaysMasked) {
   EXPECT_EQ(r0.revivals, 0u);
   EXPECT_EQ(sim.state().alive[1], 0);
   const sched::LinearCosts costs =
-      dynamic_linear_costs(sim.state(), config.shard_size, dyn);
+      dynamic_linear_costs(sim.state(), config.shard_size, dyn,
+                           config.battery_floor_soc);
   EXPECT_EQ(costs.capacity(1), 0u);
 }
 

@@ -132,7 +132,7 @@ TEST(FleetGenerator, ClientsKeepIdentityAsFleetGrows) {
 TEST(FleetGenerator, LinearCostsViewMatchesState) {
   const FleetMix mix = skewed_mix();
   const FleetState state = FleetGenerator(mix, kModel, 5).generate(200);
-  const sched::LinearCosts costs = linear_costs(state, 100);
+  const sched::LinearCosts costs = linear_costs(state, 100, /*battery_floor_soc=*/0.05);
   ASSERT_EQ(costs.users(), state.size());
   for (std::size_t j = 0; j < state.size(); ++j) {
     EXPECT_EQ(costs.base_seconds(j), state.base_s[j] + state.comm_s[j]);

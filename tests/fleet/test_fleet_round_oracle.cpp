@@ -143,7 +143,8 @@ std::size_t case_shard_size(const std::string& name) {
 /// entries.
 std::vector<std::size_t> plan_round(const FleetState& state, ClientDynamics& dynamics,
                                     std::size_t shard_size) {
-  const sched::LinearCosts costs = dynamic_linear_costs(state, shard_size, dynamics);
+  const sched::LinearCosts costs = dynamic_linear_costs(
+      state, shard_size, dynamics, dynamics.config().battery_floor_soc);
   std::vector<std::size_t> plan(costs.users(), 0);
   for (std::size_t j = 0; j < plan.size(); ++j) {
     if (costs.capacity(j) > 0 || j % 7 == 0) plan[j] = j % 3 == 0 ? 3 : 2;

@@ -51,7 +51,8 @@ FleetState tiny_fleet() {
 std::vector<std::size_t> bucketed_plan(const FleetState& state,
                                        std::size_t shard_size,
                                        std::size_t total_shards) {
-  const sched::LinearCosts costs = linear_costs(state, shard_size);
+  const sched::LinearCosts costs =
+      linear_costs(state, shard_size, /*battery_floor_soc=*/0.05);
   return sched::fed_lbap_bucketed(costs, total_shards, 64)
       .assignment.shards_per_user;
 }
@@ -134,7 +135,8 @@ TEST(FleetSim, BatteryDeathIsPermanent) {
   EXPECT_EQ(sim.state().alive[1], 0);
   EXPECT_EQ(sim.state().alive[0], 1);
   // Dead clients leave the schedulable fleet via the cost view.
-  const sched::LinearCosts costs = linear_costs(sim.state(), 100);
+  const sched::LinearCosts costs =
+      linear_costs(sim.state(), 100, config.battery_floor_soc);
   EXPECT_EQ(costs.capacity(1), 0u);
   EXPECT_GT(costs.capacity(0), 0u);
 }

@@ -394,7 +394,7 @@ FleetRun run_fleet(std::size_t parallelism) {
   FleetRun run;
   for (std::size_t round = 0; round < 3; ++round) {
     const sched::LinearCosts costs =
-        fleet::linear_costs(sim.state(), config.shard_size);
+        fleet::linear_costs(sim.state(), config.shard_size, config.battery_floor_soc);
     const sched::BucketedLbapResult plan =
         sched::fed_lbap_bucketed(costs, 20000, 64, &trace);
     run.rounds.push_back(
@@ -466,7 +466,8 @@ FleetRun run_dynamic_fleet(std::size_t parallelism) {
   FleetRun run;
   for (std::size_t round = 0; round < 3; ++round) {
     const sched::LinearCosts costs =
-        fleet::dynamic_linear_costs(sim.state(), config.shard_size, dynamics);
+        fleet::dynamic_linear_costs(sim.state(), config.shard_size, dynamics,
+                                    config.battery_floor_soc);
     const sched::BucketedLbapResult plan =
         sched::fed_lbap_bucketed(costs, 10000, 64, &trace);
     run.rounds.push_back(

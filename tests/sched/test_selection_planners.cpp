@@ -222,6 +222,7 @@ TEST(SelectionOracle, SmallInstancesMatchHeapsBitwise) {
 
 constexpr std::size_t kFleet = 200'000;
 constexpr std::size_t kShard = 100;
+constexpr double kFloor = 0.05;  // the simulator's default death floor
 constexpr std::size_t kShards = 2 * kFleet;
 
 void expect_planners_match(const LinearCosts& costs, bool expect_trim) {
@@ -238,9 +239,10 @@ TEST(SelectionOracle, FleetsStaticAndChargeGated) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     fleet::FleetGenerator generator(fleet::FleetMix{}, device::lenet_desc(), seed);
     const fleet::FleetState state = generator.generate(kFleet);
-    expect_planners_match(fleet::linear_costs(state, kShard), /*expect_trim=*/true);
+    expect_planners_match(fleet::linear_costs(state, kShard, kFloor),
+                          /*expect_trim=*/true);
     fleet::ClientDynamics dynamics(fleet::scenario_config("charge-gated", seed), &generator);
-    expect_planners_match(fleet::dynamic_linear_costs(state, kShard, dynamics),
+    expect_planners_match(fleet::dynamic_linear_costs(state, kShard, dynamics, kFloor),
                           /*expect_trim=*/false);
   }
 }
@@ -249,13 +251,14 @@ TEST(SelectionOracle, FleetWithoutSpeedSpreadTiesWholeDeviceClasses) {
   fleet::FleetMix mix;
   mix.speed_sigma = 0.0;
   fleet::FleetGenerator generator(mix, device::lenet_desc(), 5);
-  expect_planners_match(fleet::linear_costs(generator.generate(kFleet), kShard),
+  expect_planners_match(fleet::linear_costs(generator.generate(kFleet), kShard, kFloor),
                         /*expect_trim=*/true);
 }
 
 TEST(SelectionOracle, FleetRelaxedPassMatchesHeap) {
   fleet::FleetGenerator generator(fleet::FleetMix{}, device::lenet_desc(), 9);
-  const LinearCosts costs = fleet::linear_costs(generator.generate(kFleet), kShard);
+  const LinearCosts costs =
+      fleet::linear_costs(generator.generate(kFleet), kShard, kFloor);
   MinEnergyConfig config;
   config.makespan_cap_s = 0.5 * fed_lbap_bucketed(costs, kShards, 64).makespan_seconds;
   const MinEnergyResult want = oracle::heap_fed_minenergy(costs, kShards, config);
