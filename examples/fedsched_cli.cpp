@@ -1,10 +1,10 @@
 // fedsched command-line tool — drive the library without writing C++.
 //
 //   fedsched_cli profile  --device Mate10 --model LeNet
-//   fedsched_cli schedule --testbed 2 --model LeNet --samples 60000 \
+//   fedsched_cli schedule --testbed 2 --model LeNet --samples 60000
 //                         --policy fed-lbap
 //   fedsched_cli simulate --testbed 2 --model VGG6 --counts 10000,10000,...
-//   fedsched_cli train    --dataset mnist --testbed 1 --rounds 10 \
+//   fedsched_cli train    --dataset mnist --testbed 1 --rounds 10
 //                         --samples 1200 --policy fed-lbap [--save out.bin]
 //   fedsched_cli energy   --device Nexus6P --model VGG6 --samples 3000
 //   fedsched_cli fleet    --fleet-size 100000 --fleet-mix nexus6:1,mate10:1
@@ -29,6 +29,7 @@
 #include "coord/wire.hpp"
 #include "core/fedsched.hpp"
 #include "device/battery.hpp"
+#include "fl/checkpoint/checkpoint.hpp"
 #include "fl/report.hpp"
 #include "fleet/session.hpp"
 #include "nn/serialize.hpp"
@@ -121,23 +122,6 @@ fl::health::HealthConfig health_config_from(const Args& args) {
   health.replan_cooldown_rounds = static_cast<std::size_t>(
       args.get_int("health-cooldown", static_cast<long>(health.replan_cooldown_rounds)));
   return health;
-}
-
-// --checkpoint-out / --checkpoint-every / --halt-after / --resume. A halt
-// round doubles as a checkpoint round, so kill-and-resume needs no extra
-// cadence flag; byte-identical resumes require the baseline run to share the
-// same cadence (see docs/API.md).
-fl::CheckpointConfig checkpoint_config_from(const Args& args) {
-  fl::CheckpointConfig ckpt;
-  ckpt.path = args.get("checkpoint-out", "");
-  ckpt.every_rounds = static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
-  ckpt.halt_after_rounds = static_cast<std::size_t>(args.get_int("halt-after", 0));
-  ckpt.resume_from = args.get("resume", "");
-  if ((ckpt.every_rounds > 0 || ckpt.halt_after_rounds > 0) && ckpt.path.empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every / --halt-after need --checkpoint-out PATH");
-  }
-  return ckpt;
 }
 
 // --replicate-* flags. Default policy is off, which leaves RunResult and
@@ -324,7 +308,6 @@ int cmd_train(const Args& args) {
   fl::FlConfig& config = job.config;
   config.faults = fault_config_from(args);
   config.deadline_s = deadline_from(args);
-  config.checkpoint = checkpoint_config_from(args);
   const auto reschedule_policy =
       reschedule_policy_from(args.get("reschedule-policy", "off"));
   if (reschedule_policy != fl::health::ReschedulePolicy::kOff) {
@@ -352,12 +335,35 @@ int cmd_train(const Args& args) {
     // same profiles the schedule was solved against.
     config.replicate.users = users;
   }
-  config.trace = &trace;
   if (args.has("metrics-out")) config.metrics = &metrics;
+  // Kill-and-resume: checkpoint after every `every` rounds and after round
+  // `halt_after`, where the run stops without its final evaluation. A halt
+  // round doubles as a checkpoint round; byte-identical resumes need the
+  // baseline run to checkpoint at the same rounds (see docs/API.md).
+  const std::string ckpt_out = args.get("checkpoint-out", "");
+  const auto every = static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+  const auto halt_after = static_cast<std::size_t>(args.get_int("halt-after", 0));
+  if ((every > 0 || halt_after > 0) && ckpt_out.empty()) {
+    throw std::invalid_argument(
+        "--checkpoint-every / --halt-after need --checkpoint-out PATH");
+  }
   fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc, phones,
                           device::NetworkType::kWifi, config);
-  const auto result = runner.run(job.partition);
-
+  const std::string resume = args.get("resume", "");
+  fl::FedAvgSession session =
+      resume.empty()
+          ? fl::FedAvgSession(runner, job.partition)
+          : fl::FedAvgSession(runner, fl::checkpoint::load_checkpoint(resume));
+  bool halted = false;
+  while (!session.done() && !halted) {
+    session.step();
+    const std::size_t completed = session.rounds_completed();
+    halted = completed == halt_after;
+    if (halted || (every > 0 && completed % every == 0)) {
+      fl::checkpoint::save_checkpoint(session.checkpoint(), ckpt_out);
+    }
+  }
+  const fl::RunResult result = halted ? session.result() : session.finish();
   fl::round_table(result).print(std::cout);
   if (args.has("verbose") && !result.rounds.empty()) {
     std::cout << '\n'
@@ -371,11 +377,12 @@ int cmd_train(const Args& args) {
     std::cout << "\nclient health after " << result.rounds.size() << " rounds:\n";
     fl::recovery_table(result, core::testbed_names(phones)).print(std::cout);
   }
-  if (result.halted) {
+  if (halted) {
+    trace.flush();
     std::cout << "halted after " << result.rounds.size()
-              << " rounds; checkpoint written to " << config.checkpoint.path
-              << "\nresume with: fedsched_cli train ... --resume "
-              << config.checkpoint.path << "\n";
+              << " rounds; checkpoint written to " << ckpt_out
+              << "\nresume with: fedsched_cli train ... --resume " << ckpt_out
+              << "\n";
     if (trace.enabled()) {
       std::cout << "wrote " << trace.events_written() << " trace events to "
                 << args.get("trace-out", "trace.jsonl") << "\n";

@@ -26,8 +26,8 @@
 //      construct a new Coordinator over the same root.
 //
 // Crash-point catalog (docs/API.md "Chaos injection"): every atomic write —
-// spec.json / meta.json / result.json / error.txt via write_file_atomic, and
-// each step's checkpoint in run_train_step / FleetSession::step — claims one
+// spec.json / meta.json / result.json / error.txt, and each step's
+// checkpoint in RunSession::step, all via write_file_atomic — claims one
 // write op and exposes three phases: kBeforeTmp (nothing durable yet),
 // kAfterTmp (temp file written, rename pending — the torn state a stale-tmp
 // sweep must clean), kAfterRename (new bytes durable, everything after the

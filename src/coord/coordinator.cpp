@@ -105,6 +105,17 @@ void Coordinator::stop() {
   }
 }
 
+std::unique_ptr<RunSession> Coordinator::open_session(const RunSpec& spec,
+                                                      std::size_t round) const {
+  const std::string ckpt = registry_.ckpt_path(spec.id);
+  const std::string trace = registry_.trace_path(spec.id);
+  if (spec.kind == RunKind::kTrain) {
+    return std::make_unique<TrainSession>(spec.train, ckpt, trace, round,
+                                          registry_.write_options());
+  }
+  return FleetSession::open(spec.fleet, ckpt, trace, round, registry_.write_options());
+}
+
 bool Coordinator::head_dispatchable() const {
   if (ready_.empty()) return false;
   if (running_ >= config_.max_concurrent_rounds) return false;
@@ -154,7 +165,7 @@ void Coordinator::worker_loop(std::size_t worker_index) {
     const RunSpec spec = entry.spec;  // stable copy for the unlocked step
     const std::size_t round = entry.rounds_completed;
     const std::size_t resident = spec.resident_clients();
-    std::unique_ptr<FleetSession> session = std::move(entry.session);
+    std::unique_ptr<RunSession> session = std::move(entry.session);
     if (session != nullptr) held_resident_ -= resident;
     const std::uint64_t token = next_token_++;
     inflight_.emplace(
@@ -188,24 +199,11 @@ void Coordinator::worker_loop(std::size_t worker_index) {
       if (hang > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(hang));
       }
-      const std::string ckpt = registry_.ckpt_path(id);
-      const std::string trace = registry_.trace_path(id);
-      if (spec.kind == RunKind::kTrain) {
-        TrainStepOutcome out =
-            run_train_step(spec.train, ckpt, trace, round, &chaos_);
-        completed = out.rounds_completed;
-        done = out.done;
-        if (done) result_json = train_result_json(spec.train, out.result);
-      } else {
-        if (session == nullptr) {
-          session = std::make_unique<FleetSession>(
-              FleetSession::open(spec.fleet, ckpt, trace, round));
-        }
-        FleetStepOutcome out = session->step(round, &chaos_);
-        completed = out.rounds_completed;
-        done = out.done;
-        if (done) result_json = fleet_result_json(spec.fleet, session->summaries());
-      }
+      if (session == nullptr) session = open_session(spec, round);
+      const StepOutcome out = session->step(round);
+      completed = out.rounds_completed;
+      done = out.done;
+      if (done) result_json = session->result_json();
     } catch (const chaos::ChaosCrash&) {
       crashed = true;
     } catch (const std::exception& ex) {

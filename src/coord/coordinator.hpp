@@ -21,15 +21,16 @@
 // client budget across in-flight steps (head-of-queue order, so admission
 // order is completion-capacity order).
 //
-// Resident fleet sessions: a fleet run's FleetSession (coord/fleet_job.hpp)
-// stays in its run slot between steps, so a step reads no checkpoint. A
-// worker moves the session out at dispatch and back only with a successful,
-// unfinished outcome; failure, a watchdog kill, a chaos crash, or completion
-// drop it. Parked sessions count against max_resident_clients together with
-// in-flight steps. Dispatch never waits for them: when a dispatch or a
-// finished step would overrun the budget, parked sessions are evicted from
-// the back of the ready queue, and those runs restore from their FSF2
-// checkpoint at their next step.
+// Resident sessions: every run's RunSession (coord/session.hpp) — a
+// TrainSession or a FleetSession — stays in its run slot between steps, so
+// a step neither rebuilds the run nor reads its checkpoint. A worker opens
+// the session when the slot is empty, moves it out at dispatch and back only
+// with a successful, unfinished outcome; failure, a watchdog kill, a chaos
+// crash, or completion drop it. Parked sessions count against
+// max_resident_clients together with in-flight steps. Dispatch never waits
+// for them: when a dispatch or a finished step would overrun the budget,
+// parked sessions are evicted from the back of the ready queue, and those
+// runs restore from their checkpoint (FSC1 or FSF2) at their next step.
 //
 // The wire entry point is handle_frame(): decode (hardened, coord/wire.hpp)
 // happens strictly before dispatch, so a malformed frame provably cannot
@@ -44,7 +45,8 @@
 //   * config.watchdog_s > 0 starts a watchdog that marks any step exceeding
 //     that wall-clock budget failed, releases its capacity, and replaces the
 //     (possibly wedged) worker thread so the queue keeps draining.
-//   * durable_writes gates fsync-before-rename in the registry.
+//   * durable_writes gates fsync-before-rename in the registry, step
+//     checkpoints included.
 
 #include <chrono>
 #include <condition_variable>
@@ -67,13 +69,13 @@
 
 namespace fedsched::coord {
 
-class FleetSession;
+class RunSession;
 
 struct CoordinatorConfig {
   std::string root;                    // registry directory (required)
   std::size_t workers = 2;             // worker threads (min 1)
   std::size_t max_concurrent_rounds = 2;   // steps in flight at once
-  /// Summed over in-flight steps and resident fleet sessions.
+  /// Summed over in-flight steps and resident sessions.
   std::size_t max_resident_clients = 1'000'000;
   std::size_t max_queued_runs = 16;    // admitted runs awaiting a worker
   /// Coordinator operations trace (coord_admit / coord_reject /
@@ -81,8 +83,9 @@ struct CoordinatorConfig {
   /// log — dispatch order depends on host scheduling — and is deliberately
   /// separate from the per-run traces, which stay byte-deterministic.
   std::string trace_path;
-  /// fsync temp files and directories around registry renames (power-loss
-  /// durability). Off by default so tests stay fast.
+  /// fsync temp files and directories around registry renames, step
+  /// checkpoints included (power-loss durability). Off by default so tests
+  /// stay fast.
   bool durable_writes = false;
   /// > 0 starts the per-run wall-clock watchdog: a step older than this many
   /// real seconds is marked failed and its worker replaced. 0 = off.
@@ -176,9 +179,9 @@ class Coordinator {
     RunStatus status = RunStatus::kAdmitted;
     std::size_t rounds_completed = 0;
     std::string error;
-    /// A fleet run's live state between steps; null until its first step,
+    /// The run's live state between steps; null until its first step,
     /// while a worker holds it, and after an eviction or a failure.
-    std::unique_ptr<FleetSession> session;
+    std::unique_ptr<RunSession> session;
   };
 
   /// One dispatched step, keyed by token so the watchdog and the worker can
@@ -189,6 +192,9 @@ class Coordinator {
     std::chrono::steady_clock::time_point started;
   };
 
+  /// A session for `spec`: fresh at round 0, else from its checkpoint.
+  [[nodiscard]] std::unique_ptr<RunSession> open_session(const RunSpec& spec,
+                                                         std::size_t round) const;
   void worker_loop(std::size_t worker_index);
   void watchdog_loop();
   void enter_crashed_state();                    // callers hold mu_

@@ -1,11 +1,8 @@
 #include "coord/fleet_job.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "coord/chaos/chaos.hpp"
-#include "coord/registry.hpp"
 #include "device/model_desc.hpp"
 #include "fl/checkpoint/codec.hpp"
 
@@ -78,7 +75,8 @@ FleetCheckpoint load_fleet_checkpoint(const std::string& path) {
   ckpt.trace_events = static_cast<std::size_t>(payload.get_u64());
   ckpt.trace_prefix = payload.get_bytes();
   payload.expect_exhausted();
-  if (ckpt.battery_soc.size() != ckpt.clients || ckpt.alive.size() != ckpt.clients) {
+  if (ckpt.battery_soc.size() != ckpt.clients || ckpt.alive.size() != ckpt.clients ||
+      ckpt.summaries.size() != ckpt.rounds_completed) {
     payload.corrupt();
   }
   return ckpt;
@@ -126,28 +124,23 @@ fleet::SessionConfig session_config(const FleetRunSpec& spec) {
 
 }  // namespace
 
-FleetSession::FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
-                           std::string trace_path, fleet::Session session)
-    : spec_(spec),
-      ckpt_path_(std::move(ckpt_path)),
-      trace_path_(std::move(trace_path)),
-      session_(std::move(session)) {}
+FleetSession::FleetSession(const FleetRunSpec& spec, const std::string& ckpt_path,
+                           std::string trace_path, AtomicWriteOptions write,
+                           const fleet::Session::Restore& restore)
+    : RunSession(spec.rounds, ckpt_path, std::move(trace_path), write),
+      spec_(spec),
+      session_(session_config(spec), restore ? nullptr : &trace_, restore),
+      digest_(regenerated_digest(session_.state())) {}
 
-FleetSession FleetSession::open(const FleetRunSpec& spec, std::string ckpt_path,
-                                std::string trace_path,
-                                std::size_t completed_rounds) {
+std::unique_ptr<FleetSession> FleetSession::open(const FleetRunSpec& spec,
+                                                 const std::string& ckpt_path,
+                                                 std::string trace_path,
+                                                 std::size_t completed_rounds,
+                                                 AtomicWriteOptions write) {
   if (completed_rounds == 0) {
-    std::ostringstream sink;
-    obs::TraceWriter trace(sink);
-    trace.enable_capture();
-    FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
-                         fleet::Session(session_config(spec), &trace));
-    session.digest_ = regenerated_digest(session.session_.state());
-    session.trace_prefix_ = trace.captured();
-    session.trace_events_ = trace.captured_events();
-    return session;
+    return std::unique_ptr<FleetSession>(
+        new FleetSession(spec, ckpt_path, std::move(trace_path), write, {}));
   }
-
   FleetCheckpoint ckpt = load_fleet_checkpoint(ckpt_path);
   const auto restore = [&](fleet::FleetState& state) {
     if (regenerated_digest(state) != ckpt.digest || state.size() != ckpt.clients) {
@@ -158,40 +151,15 @@ FleetSession FleetSession::open(const FleetRunSpec& spec, std::string ckpt_path,
     state.battery_soc = std::move(ckpt.battery_soc);
     state.alive = std::move(ckpt.alive);
   };
-  fleet::Session restored(session_config(spec), nullptr, restore);
-  FleetSession session(spec, std::move(ckpt_path), std::move(trace_path),
-                       std::move(restored));
-  session.digest_ = ckpt.digest;
-  session.rounds_completed_ = ckpt.rounds_completed;
-  session.summaries_ = std::move(ckpt.summaries);
-  session.trace_prefix_ = std::move(ckpt.trace_prefix);
-  session.trace_events_ = ckpt.trace_events;
+  std::unique_ptr<FleetSession> session(
+      new FleetSession(spec, ckpt_path, std::move(trace_path), write, restore));
+  session->summaries_ = std::move(ckpt.summaries);
+  session->trace_.write_raw(ckpt.trace_prefix, ckpt.trace_events);
   return session;
 }
 
-FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
-                                    chaos::ChaosInjector* chaos) {
-  if (completed_rounds >= spec_.rounds) {
-    throw std::runtime_error("fleet job: run already complete");
-  }
-  // Torn recovery state: a crash between the checkpoint rename and the meta
-  // write lost the step's acknowledgement, but the restored checkpoint
-  // already holds the round. Replay its trace and report the step done
-  // instead of re-simulating (which would double-apply it).
-  const bool replay = rounds_completed_ == completed_rounds + 1;
-  if (!replay && rounds_completed_ != completed_rounds) {
-    throw std::runtime_error("fleet job: checkpoint round mismatch");
-  }
-  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path_);
-  trace.enable_capture();
-  trace.write_raw(trace_prefix_, trace_events_);
-  if (replay) {
-    trace.flush();
-    return {rounds_completed_, rounds_completed_ == spec_.rounds};
-  }
-
-  const fleet::SessionRound round = session_.step(completed_rounds, &trace);
-  trace.flush();
+std::string FleetSession::advance() {
+  const fleet::SessionRound round = session_.step(summaries_.size(), &trace_);
   const fleet::FleetRoundResult& r = round.result;
 
   FleetRoundSummary summary;
@@ -207,33 +175,27 @@ FleetStepOutcome FleetSession::step(std::size_t completed_rounds,
   summary.makespan_s = r.makespan_s;
   summary.energy_wh = r.energy_wh;
   summaries_.push_back(summary);
-  rounds_completed_ = completed_rounds + 1;
-  trace_prefix_ = trace.captured();
-  trace_events_ = trace.captured_events();
 
   const fleet::FleetState& s = session_.state();
   fc::PayloadWriter out;
-  out.put_u64(rounds_completed_);
+  out.put_u64(summaries_.size());
   out.put_u64(s.size());
   out.put_u64(digest_);
   out.put_vec(s.battery_soc);
   out.put_vec(s.alive);
   out.put_u64(summaries_.size());
   for (const FleetRoundSummary& rs : summaries_) put_summary(out, rs);
-  out.put_u64(trace_events_);
-  out.put_bytes(trace_prefix_);
-  write_file_atomic(ckpt_path_, fc::seal(kFleetMagic, kFleetVersion, out.bytes()),
-                    {false, chaos});
-  return {rounds_completed_, rounds_completed_ == spec_.rounds};
+  out.put_u64(trace_.captured_events());
+  out.put_bytes(trace_.captured());
+  return fc::seal(kFleetMagic, kFleetVersion, out.bytes());
 }
 
 FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
                                 const std::string& ckpt_path,
                                 const std::string& trace_path,
-                                std::size_t completed_rounds,
-                                chaos::ChaosInjector* chaos) {
+                                std::size_t completed_rounds) {
   return FleetSession::open(spec, ckpt_path, trace_path, completed_rounds)
-      .step(completed_rounds, chaos);
+      ->step(completed_rounds);
 }
 
 std::vector<FleetRoundSummary> load_fleet_summaries(const std::string& ckpt_path) {

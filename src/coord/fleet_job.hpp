@@ -8,16 +8,15 @@
 // fleet_generate event matches and the final trace file is byte-identical
 // to the one-shot CLI's.
 //
-// Residency: a FleetSession is one run between steps — the fleet::Session
-// (owning the FleetState), the round summaries, the captured trace prefix
-// and the digest below. The coordinator keeps it in the run's slot, so a
-// step reads nothing back from disk. run_fleet_step is open + step, the same
-// round implementation restored from disk every time.
+// Residency: a FleetSession is one run between steps (coord/session.hpp) —
+// the fleet::Session (owning the FleetState), the round summaries, the
+// captured trace and the digest below. run_fleet_step is open + step, the
+// same round implementation restored from disk every time.
 //
-// FSF2 checkpoint, written atomically every step (temp file + rename,
-// through the chaos crash points) on the sealed-payload codec of the FSC1
-// run checkpoint. Without client dynamics a round changes only
-// `battery_soc` and `alive`; every other FleetState column is a pure
+// FSF2 checkpoint, written every step by RunSession::step on the
+// sealed-payload codec of the FSC1 run checkpoint. Without client dynamics
+// a round changes only `battery_soc` and `alive`; every other FleetState
+// column is a pure
 // function of (mix, model, seed, fleet_size). FSF2 therefore stores the
 // rounds completed, the client count, a digest of the regenerated columns,
 // `battery_soc` and `alive` (9 B per client), the round summaries, and the
@@ -32,17 +31,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "coord/session.hpp"
 #include "coord/spec.hpp"
 #include "fleet/session.hpp"
 
 namespace fedsched::coord {
-
-namespace chaos {
-class ChaosInjector;
-}  // namespace chaos
 
 /// What the coordinator reports per simulated fleet round.
 struct FleetRoundSummary {
@@ -59,66 +56,55 @@ struct FleetRoundSummary {
   double energy_wh = 0.0;
 };
 
-struct FleetStepOutcome {
-  std::size_t rounds_completed = 0;
-  bool done = false;
-};
+/// Summaries rendered as the coordinator's result.json document.
+[[nodiscard]] std::string fleet_result_json(
+    const FleetRunSpec& spec, const std::vector<FleetRoundSummary>& rounds);
 
-class FleetSession {
+using FleetStepOutcome = StepOutcome;
+
+class FleetSession final : public RunSession {
  public:
   /// `completed_rounds` == 0 generates the fleet (its fleet_generate event
-  /// becomes the trace prefix); otherwise restores from the FSF2 checkpoint
-  /// at `ckpt_path`. Throws std::runtime_error on a damaged or FSF1 file and
+  /// starts the trace); otherwise restores from the FSF2 checkpoint at
+  /// `ckpt_path`. Throws std::runtime_error on a damaged or FSF1 file and
   /// on a digest mismatch.
-  [[nodiscard]] static FleetSession open(const FleetRunSpec& spec,
-                                         std::string ckpt_path,
-                                         std::string trace_path,
-                                         std::size_t completed_rounds);
-
-  /// Run round `completed_rounds`: plan, simulate, rewrite the trace file
-  /// from the captured prefix, and write the checkpoint atomically. A
-  /// restored checkpoint one round ahead of `completed_rounds` is the torn
-  /// state a crash between the checkpoint rename and the meta write leaves:
-  /// the step then replays that round's trace instead of re-simulating it.
-  /// A non-null enabled `chaos` injector threads the checkpoint write
-  /// through its crash points. After a throw the session is unusable.
-  FleetStepOutcome step(std::size_t completed_rounds,
-                        chaos::ChaosInjector* chaos = nullptr);
+  [[nodiscard]] static std::unique_ptr<FleetSession> open(
+      const FleetRunSpec& spec, const std::string& ckpt_path,
+      std::string trace_path, std::size_t completed_rounds,
+      AtomicWriteOptions write = {});
 
   /// Per-round summaries so far (the result payload once the run is done).
   [[nodiscard]] const std::vector<FleetRoundSummary>& summaries() const noexcept {
     return summaries_;
   }
+  [[nodiscard]] std::string result_json() const override {
+    return fleet_result_json(spec_, summaries_);
+  }
 
  private:
-  FleetSession(const FleetRunSpec& spec, std::string ckpt_path,
-               std::string trace_path, fleet::Session session);
+  FleetSession(const FleetRunSpec& spec, const std::string& ckpt_path,
+               std::string trace_path, AtomicWriteOptions write,
+               const fleet::Session::Restore& restore);
+  [[nodiscard]] std::size_t rounds_completed() const override {
+    return summaries_.size();
+  }
+  [[nodiscard]] std::string advance() override;
 
   FleetRunSpec spec_;
-  std::string ckpt_path_;
-  std::string trace_path_;
   fleet::Session session_;
-  std::uint64_t digest_ = 0;
-  std::size_t rounds_completed_ = 0;
-  std::vector<FleetRoundSummary> summaries_;
-  std::string trace_prefix_;
-  std::size_t trace_events_ = 0;
+  std::uint64_t digest_;  // of the columns FSF2 does not store
+  std::vector<FleetRoundSummary> summaries_;  // one per round completed
 };
 
 /// One round as a one-shot: FleetSession::open + step.
 [[nodiscard]] FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
                                               const std::string& ckpt_path,
                                               const std::string& trace_path,
-                                              std::size_t completed_rounds,
-                                              chaos::ChaosInjector* chaos = nullptr);
+                                              std::size_t completed_rounds);
 
 /// Per-round summaries stored in the checkpoint at `ckpt_path` (decodes the
 /// file without regenerating the fleet).
 [[nodiscard]] std::vector<FleetRoundSummary> load_fleet_summaries(
     const std::string& ckpt_path);
-
-/// Summaries rendered as the coordinator's result.json document.
-[[nodiscard]] std::string fleet_result_json(
-    const FleetRunSpec& spec, const std::vector<FleetRoundSummary>& rounds);
 
 }  // namespace fedsched::coord

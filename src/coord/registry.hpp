@@ -3,7 +3,8 @@
 //
 //   <root>/<id>/spec.json    the validated spec, written once at admission
 //   <root>/<id>/meta.json    {"rounds_completed": n}, rewritten after each step
-//   <root>/<id>/ckpt.bin     the run's resume point (FSC1 train / FSF2 fleet)
+//   <root>/<id>/ckpt.bin     the run's resume point (FSC1 train / FSF2 fleet),
+//                            written by the run's session (coord/session.hpp)
 //   <root>/<id>/trace.jsonl  the run's trace, rewritten per step from the
 //                            checkpointed prefix
 //   <root>/<id>/result.json  terminal success document (presence = done)
@@ -82,12 +83,11 @@ class RunRegistry {
 
   /// fsync the temp file and its directory around every rename (power-loss
   /// durability). Off by default so tests stay fast.
-  void set_durable(bool durable) noexcept { durable_ = durable; }
-  [[nodiscard]] bool durable() const noexcept { return durable_; }
+  void set_durable(bool durable) noexcept { options_.durable = durable; }
   /// Optional fault injector threaded through every atomic write. The
   /// registry does not own it; nullptr (default) and a disabled injector are
   /// byte-equivalent.
-  void set_chaos(chaos::ChaosInjector* chaos) noexcept { chaos_ = chaos; }
+  void set_chaos(chaos::ChaosInjector* chaos) noexcept { options_.chaos = chaos; }
 
   /// Create the run directory and persist spec.json (atomic).
   void persist_spec(const RunSpec& spec) const;
@@ -114,14 +114,15 @@ class RunRegistry {
   QuarantineRecord quarantine_run(const std::string& id,
                                   const std::string& reason);
 
- private:
-  [[nodiscard]] AtomicWriteOptions write_options() const noexcept {
-    return {durable_, chaos_};
+  /// The durability and chaos every registry write uses; run sessions write
+  /// their step checkpoints with it too.
+  [[nodiscard]] const AtomicWriteOptions& write_options() const noexcept {
+    return options_;
   }
 
+ private:
   std::string root_;
-  bool durable_ = false;
-  chaos::ChaosInjector* chaos_ = nullptr;
+  AtomicWriteOptions options_;
 };
 
 /// Shared atomic-write helper (temp file + rename within the directory).

@@ -1,11 +1,9 @@
 #include "coord/train_job.hpp"
 
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
-#include "coord/chaos/chaos.hpp"
 #include "core/experiment.hpp"
 #include "data/synth.hpp"
 #include "fl/checkpoint/checkpoint.hpp"
@@ -21,15 +19,6 @@ sched::Baseline baseline_of(const std::string& name) {
   if (name == "prop") return sched::Baseline::kProportional;
   if (name == "random") return sched::Baseline::kRandom;
   throw std::runtime_error("train job: unknown baseline policy '" + name + "'");
-}
-
-void rename_over(const std::string& from, const std::string& to) {
-  std::error_code ec;
-  std::filesystem::rename(from, to, ec);
-  if (ec) {
-    throw std::runtime_error("train job: cannot rename " + from + " -> " + to +
-                             ": " + ec.message());
-  }
 }
 
 }  // namespace
@@ -67,6 +56,7 @@ TrainJob build_train_job(const TrainRunSpec& spec, obs::TraceWriter* trace) {
 
   job.config.rounds = spec.rounds;
   job.config.seed = spec.seed + 3;
+  job.config.trace = trace;
   job.config.parallelism = spec.parallelism;
   job.config.evaluate_each_round = spec.evaluate_each_round;
 
@@ -77,105 +67,31 @@ TrainJob build_train_job(const TrainRunSpec& spec, obs::TraceWriter* trace) {
   return job;
 }
 
+TrainSession::TrainSession(const TrainRunSpec& spec, const std::string& ckpt_path,
+                           std::string trace_path, std::size_t completed_rounds,
+                           AtomicWriteOptions write)
+    : RunSession(spec.rounds, ckpt_path, std::move(trace_path), write),
+      spec_(spec),
+      job_(build_train_job(spec, &trace_)),
+      runner_(job_.train, job_.test, job_.model_spec, job_.desc, job_.phones,
+              device::NetworkType::kWifi, job_.config),
+      session_(completed_rounds == 0
+                   ? fl::FedAvgSession(runner_, job_.partition)
+                   : fl::FedAvgSession(runner_,
+                                       fl::checkpoint::load_checkpoint(ckpt_path))) {}
+
+std::string TrainSession::advance() {
+  session_.step();
+  return fl::checkpoint::encode_checkpoint(session_.checkpoint());
+}
+
 TrainStepOutcome run_train_step(const TrainRunSpec& spec,
                                 const std::string& ckpt_path,
                                 const std::string& trace_path,
-                                std::size_t completed_rounds,
-                                chaos::ChaosInjector* chaos) {
-  if (completed_rounds >= spec.rounds) {
-    throw std::runtime_error("train job: run already complete");
-  }
-  if (chaos != nullptr && !chaos->enabled()) chaos = nullptr;
-
-  // Torn recovery state: a crash between the checkpoint rename and the meta
-  // write leaves the checkpoint one round ahead of `completed_rounds`. The
-  // round is already durable, so replay it instead of re-simulating.
-  bool final_replay = false;
-  if (completed_rounds > 0) {
-    const std::uint64_t have = fl::checkpoint::peek_rounds_completed(ckpt_path);
-    if (have == completed_rounds + 1 && have < spec.rounds) {
-      // Mid-run: the post-step trace file is exactly the schedule events the
-      // job rebuild emits plus the checkpoint's captured prefix.
-      const fl::checkpoint::RunState state =
-          fl::checkpoint::load_checkpoint(ckpt_path);
-      obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
-      (void)build_train_job(spec, &trace);  // re-emits the schedule events
-      trace.write_raw(state.trace_prefix,
-                      static_cast<std::size_t>(state.trace_events));
-      trace.flush();
-      TrainStepOutcome replayed;
-      replayed.rounds_completed = static_cast<std::size_t>(have);
-      replayed.done = false;
-      return replayed;
-    }
-    final_replay = have == completed_rounds + 1;  // == spec.rounds
-    if (!final_replay && have != completed_rounds) {
-      throw std::runtime_error("train job: checkpoint round mismatch");
-    }
-  }
-
-  // The trace file is rewritten from scratch every step: the job rebuild
-  // re-emits the schedule event, and the runner replays the checkpointed
-  // prefix before appending the new round — same mechanics as a CLI resume.
-  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
-  TrainJob job = build_train_job(spec, &trace);
-  job.config.trace = &trace;
-  job.config.checkpoint.path = ckpt_path + ".tmp";
-  job.config.checkpoint.every_rounds = 1;
-  const std::size_t next = completed_rounds + 1;
-  job.config.checkpoint.halt_after_rounds =
-      !final_replay && next < spec.rounds ? next : 0;
-  if (completed_rounds > 0) job.config.checkpoint.resume_from = ckpt_path;
-
-  if (final_replay) {
-    // The final round's checkpoint is already durable; resuming from it runs
-    // zero rounds and deterministically re-derives the tail the crash lost
-    // (final evaluation + run_end trace event). No temp file is written, so
-    // there is nothing to rename and no chaos write op to claim.
-    fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
-                            job.phones, device::NetworkType::kWifi, job.config);
-    TrainStepOutcome out;
-    out.result = runner.run(job.partition);
-    out.done = true;
-    out.rounds_completed = spec.rounds;
-    return out;
-  }
-
-  // The runner itself writes the temp checkpoint during run(), so this step's
-  // write op spans it: before-tmp fires before any byte exists, after-tmp
-  // once the temp file is complete but not yet visible at ckpt_path.
-  const std::uint64_t op = chaos != nullptr ? chaos->begin_write() : 0;
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kBeforeTmp, ckpt_path);
-  }
-  fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
-                          job.phones, device::NetworkType::kWifi, job.config);
-  TrainStepOutcome out;
-  out.result = runner.run(job.partition);
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterTmp, ckpt_path);
-  }
-  // The step's checkpoint (halt or final-round cadence save) lands atomically.
-  rename_over(job.config.checkpoint.path, ckpt_path);
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterRename, ckpt_path);
-  }
-  out.done = !out.result.halted;
-  out.rounds_completed = out.done ? spec.rounds : next;
-  return out;
-}
-
-fl::RunResult run_train_oneshot(const TrainRunSpec& spec,
-                                const std::string& ckpt_path,
-                                const std::string& trace_path) {
-  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
-  TrainJob job = build_train_job(spec, &trace);
-  job.config.trace = &trace;
-  job.config.checkpoint.path = ckpt_path;
-  job.config.checkpoint.every_rounds = 1;
-  fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
-                          job.phones, device::NetworkType::kWifi, job.config);
-  return runner.run(job.partition);
+                                std::size_t completed_rounds) {
+  TrainSession session(spec, ckpt_path, trace_path, completed_rounds);
+  const StepOutcome out = session.step(completed_rounds);
+  return {session.result(), out.rounds_completed, out.done};
 }
 
 std::string train_result_json(const TrainRunSpec& spec,

@@ -10,18 +10,22 @@
 // seed-sensitive recipe (the RNG stream order — baseline assignment, then
 // partition — is part of the trace contract).
 //
-// run_train_step() executes exactly one round via the runner's
-// checkpoint/halt machinery: every step saves a checkpoint (cadence 1), so
-// the interleaving coordinator can park the run after any round and a
-// coordinator restart resumes it bit-identically. The matching one-shot CLI
-// invocation is `fedsched_cli train ... --checkpoint-out X
+// TrainSession is a train run between coordinator steps (coord/session.hpp):
+// the job, its FedAvgRunner and the fl::FedAvgSession, kept resident so a
+// step neither rebuilds the job nor reads the checkpoint. Every step writes
+// an FSC1 checkpoint (cadence 1), so the coordinator can park the run after
+// any round and a restart resumes it bit-identically. The matching one-shot
+// CLI invocation is `fedsched_cli train ... --checkpoint-out X
 // --checkpoint-every 1` (the `checkpoint` trace event is part of the stream,
-// so byte-identical traces require the same cadence).
+// so byte-identical traces require the same cadence). The trace file is the
+// schedule's sched_* event, which a restore re-emits by rebuilding the job,
+// followed by the session's trace, which FSC1 stores.
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "coord/session.hpp"
 #include "coord/spec.hpp"
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
@@ -34,10 +38,6 @@
 
 namespace fedsched::coord {
 
-namespace chaos {
-class ChaosInjector;
-}  // namespace chaos
-
 /// Everything a FedAvgRunner needs, fully deterministic in the spec.
 struct TrainJob {
   data::Dataset train;
@@ -48,46 +48,64 @@ struct TrainJob {
   std::vector<sched::UserProfile> users;
   sched::Assignment assignment;
   data::Partition partition;
-  /// rounds / seed / parallelism / evaluate_each_round set from the spec;
-  /// trace, checkpoint, faults etc. left for the caller to attach.
+  /// rounds / seed / parallelism / evaluate_each_round set from the spec,
+  /// trace set to build_train_job's writer; faults etc. left for the
+  /// caller to attach.
   fl::FlConfig config;
 };
 
 /// Assemble the job. A non-null enabled `trace` receives the schedule's
-/// sched_* trace event exactly as `fedsched_cli train` emits it.
+/// sched_* trace event exactly as `fedsched_cli train` emits it, and is the
+/// job's run trace too.
 [[nodiscard]] TrainJob build_train_job(const TrainRunSpec& spec,
                                        obs::TraceWriter* trace);
 
+/// RunResult rendered as the coordinator's result.json document.
+[[nodiscard]] std::string train_result_json(const TrainRunSpec& spec,
+                                            const fl::RunResult& result);
+
+class TrainSession final : public RunSession {
+ public:
+  /// `completed_rounds` == 0 builds the job and starts the run; otherwise
+  /// rebuilds the job and restores the run from the FSC1 checkpoint at
+  /// `ckpt_path`. Throws std::runtime_error on a damaged file or one from
+  /// another spec. The runner keeps references into the job, so a session
+  /// never moves.
+  TrainSession(const TrainRunSpec& spec, const std::string& ckpt_path,
+               std::string trace_path, std::size_t completed_rounds,
+               AtomicWriteOptions write = {});
+
+  /// The complete result, once a step reported done.
+  [[nodiscard]] const fl::RunResult& result() const noexcept { return result_; }
+  [[nodiscard]] std::string result_json() const override {
+    return train_result_json(spec_, result_);
+  }
+
+ private:
+  [[nodiscard]] std::size_t rounds_completed() const override {
+    return session_.rounds_completed();
+  }
+  [[nodiscard]] std::string advance() override;
+  void finish() override { result_ = session_.finish(); }
+
+  TrainRunSpec spec_;
+  TrainJob job_;
+  fl::FedAvgRunner runner_;
+  fl::FedAvgSession session_;
+  fl::RunResult result_;
+};
+
 struct TrainStepOutcome {
-  /// The runner's result after this step: halted partial result for
-  /// intermediate rounds, the complete RunResult on the final step.
+  /// The complete RunResult on the final step; empty before.
   fl::RunResult result;
   std::size_t rounds_completed = 0;
   bool done = false;
 };
 
-/// Run one round of `spec` as a checkpointed step. `completed_rounds` is the
-/// number of rounds already on disk at `ckpt_path` (0 = start fresh). The
-/// trace file at `trace_path` is rewritten each step via the checkpoint's
-/// captured prefix, so after the final step it is byte-identical to an
-/// uninterrupted run's. The checkpoint is written to a temp file and renamed
-/// into place, so a kill mid-step can never leave a corrupt resume point.
-/// A non-null enabled `chaos` injector threads the checkpoint write through
-/// its before-tmp / after-tmp / after-rename crash points.
+/// One round as a one-shot: a TrainSession opened for it, stepped once.
 [[nodiscard]] TrainStepOutcome run_train_step(const TrainRunSpec& spec,
                                               const std::string& ckpt_path,
                                               const std::string& trace_path,
-                                              std::size_t completed_rounds,
-                                              chaos::ChaosInjector* chaos = nullptr);
-
-/// The complete run in one call with the same cadence (checkpoint every
-/// round) — the reference the stepped execution must match byte-for-byte.
-[[nodiscard]] fl::RunResult run_train_oneshot(const TrainRunSpec& spec,
-                                              const std::string& ckpt_path,
-                                              const std::string& trace_path);
-
-/// RunResult rendered as the coordinator's result.json document.
-[[nodiscard]] std::string train_result_json(const TrainRunSpec& spec,
-                                            const fl::RunResult& result);
+                                              std::size_t completed_rounds);
 
 }  // namespace fedsched::coord

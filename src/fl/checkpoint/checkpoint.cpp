@@ -146,7 +146,7 @@ void write_sidecar(const RunState& state, const std::string& path) {
 
 }  // namespace
 
-void save_checkpoint(const RunState& state, const std::string& path) {
+std::string encode_checkpoint(const RunState& state) {
   Writer payload;
   payload.put_u64(state.seed);
   payload.put_u64(state.rounds_completed);
@@ -188,25 +188,19 @@ void save_checkpoint(const RunState& state, const std::string& path) {
   payload.put_u64(state.trace_events);
   payload.put_bytes(state.trace_prefix);
 
+  return seal(kMagic, kFormatVersion, payload.bytes());
+}
+
+void save_checkpoint(const RunState& state, const std::string& path) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("save_checkpoint: cannot open " + path);
-  const std::string sealed = seal(kMagic, kFormatVersion, payload.bytes());
+  const std::string sealed = encode_checkpoint(state);
   out.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
   if (!out) throw std::runtime_error("save_checkpoint: write failed for " + path);
   out.close();
   write_sidecar(state, path + ".meta.jsonl");
-}
-
-std::uint64_t peek_rounds_completed(const std::string& path) {
-  const std::string file = read_file(path, "peek_rounds_completed");
-  const std::string_view body = open(kMagic, kFormatVersion, file,
-                                     "peek_rounds_completed: " + path,
-                                     "fedsched checkpoint");
-  Reader payload(body, "peek_rounds_completed: " + path);
-  (void)payload.get_u64();    // seed
-  return payload.get_u64();   // rounds_completed
 }
 
 RunState load_checkpoint(const std::string& path) {

@@ -94,6 +94,10 @@ struct RunState {
   std::uint64_t trace_events = 0;
 };
 
+/// The sealed FSC1 bytes of `state` (no sidecar): what save_checkpoint
+/// writes, for callers with their own atomic write path.
+[[nodiscard]] std::string encode_checkpoint(const RunState& state);
+
 /// Write `state` to `path` (parent directories created) plus the
 /// `<path>.meta.jsonl` sidecar. Throws std::runtime_error on I/O failure.
 void save_checkpoint(const RunState& state, const std::string& path);
@@ -101,12 +105,5 @@ void save_checkpoint(const RunState& state, const std::string& path);
 /// Load a checkpoint written by save_checkpoint. Throws std::runtime_error
 /// on I/O failure, bad magic, or an unsupported format version.
 [[nodiscard]] RunState load_checkpoint(const std::string& path);
-
-/// Read only the `rounds_completed` field (the header and payload checksum
-/// are still fully validated first). Lets the coordinator detect a
-/// checkpoint one round ahead of its meta — the torn state a crash between
-/// the checkpoint rename and the meta write leaves behind — without paying
-/// for a full state restore.
-[[nodiscard]] std::uint64_t peek_rounds_completed(const std::string& path);
 
 }  // namespace fedsched::fl::checkpoint

@@ -111,9 +111,9 @@ void trace_replication_plan(obs::TraceWriter& trace, std::size_t round,
 void trace_replica_result(obs::TraceWriter& trace, std::size_t round,
                           const replication::ShareResolution& resolution);
 
-/// `checkpoint`: a checkpoint was written after `completed` rounds. Carries
-/// no paths or byte counts, so the event bytes are identical between a
-/// halted run and its uninterrupted twin.
+/// `checkpoint`: FedAvgSession::checkpoint() took the state after `completed`
+/// rounds. Carries no paths or byte counts, so the event bytes are identical
+/// between a run stopped there and its uninterrupted twin.
 void trace_checkpoint(obs::TraceWriter& trace, std::size_t completed,
                       double total_seconds);
 

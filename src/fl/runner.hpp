@@ -18,11 +18,13 @@
 // bit-identical results.
 
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
+#include "device/battery.hpp"
 #include "device/device.hpp"
 #include "fl/faults.hpp"
 #include "fl/health/replanner.hpp"
@@ -30,43 +32,17 @@
 #include "fl/replication/replication.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
+#include "obs/trace.hpp"
 
 namespace fedsched::obs {
 class MetricsRegistry;
-class TraceWriter;
 }  // namespace fedsched::obs
 
 namespace fedsched::fl {
 
-/// Deterministic checkpoint/resume (fl/checkpoint). A checkpoint written
-/// after round r captures the complete mutable round-loop state; resuming
-/// from it finishes bit-identical to an uninterrupted run — including the
-/// trace bytes, provided both runs use the same checkpoint cadence (the
-/// `checkpoint` trace event is part of the stream). See docs/API.md
-/// "Checkpoint format".
-struct CheckpointConfig {
-  /// Where to write checkpoints; empty disables saving.
-  std::string path;
-  /// Save after every N completed rounds (0 = only the halt checkpoint).
-  std::size_t every_rounds = 0;
-  /// Deterministic kill switch: write a checkpoint after this many completed
-  /// rounds, then stop the run cleanly (RunResult::halted = true, no final
-  /// evaluation). 0 = run to completion. For byte-identical traces the halt
-  /// round must coincide with a cadence checkpoint.
-  std::size_t halt_after_rounds = 0;
-  /// Load this checkpoint before the first round; empty starts fresh.
-  std::string resume_from;
-
-  [[nodiscard]] bool save_enabled() const noexcept {
-    return !path.empty() && (every_rounds > 0 || halt_after_rounds > 0);
-  }
-  /// A checkpoint is due after `completed` rounds.
-  [[nodiscard]] bool due(std::size_t completed) const noexcept {
-    if (!save_enabled() || completed == 0) return false;
-    if (halt_after_rounds > 0 && completed == halt_after_rounds) return true;
-    return every_rounds > 0 && completed % every_rounds == 0;
-  }
-};
+namespace checkpoint {
+struct RunState;
+}  // namespace checkpoint
 
 struct FlConfig {
   std::size_t rounds = 10;
@@ -105,8 +81,6 @@ struct FlConfig {
   /// trace events, no extra metrics. Works with or without `reschedule`
   /// (either way it reads risk from a HealthTracker fed by the round loop).
   replication::ReplicationConfig replicate;
-  /// Deterministic checkpoint/resume (fl/checkpoint).
-  CheckpointConfig checkpoint;
 };
 
 struct RoundRecord {
@@ -140,9 +114,6 @@ struct RunResult {
   std::vector<RoundRecord> rounds;
   double final_accuracy = 0.0;
   double total_seconds = 0.0;
-  /// True when the run stopped at CheckpointConfig::halt_after_rounds: the
-  /// checkpoint was written, no final evaluation ran (final_accuracy = 0).
-  bool halted = false;
   /// Final per-client health state (empty when both rescheduling and
   /// replication are off).
   std::vector<health::ClientHealth> client_health;
@@ -161,13 +132,16 @@ class FedAvgRunner {
                std::vector<device::PhoneModel> phones,
                device::NetworkType network, FlConfig config);
 
-  /// Train to completion over the given partition.
+  /// Train to completion over the given partition: a fresh FedAvgSession
+  /// stepped to the round budget, then finished.
   [[nodiscard]] RunResult run(const data::Partition& partition);
 
-  /// The global model after the last run() (for inspection).
+  /// The global model after the last run() or session step (for inspection).
   [[nodiscard]] nn::Model& global_model() noexcept { return global_; }
 
  private:
+  friend class FedAvgSession;
+
   const data::Dataset& train_;
   const data::Dataset& test_;
   device::ModelDesc device_model_;
@@ -176,6 +150,82 @@ class FedAvgRunner {
   FlConfig config_;
   nn::Model global_;
   ClientExecutor executor_;  // per-lane worker models + pool
+};
+
+/// One FedAvgRunner run, a round at a time: the whole mutable round-loop
+/// state between rounds. Callers own the cadence: `run()` steps to the end;
+/// `fedsched_cli train` checkpoints every N rounds, halts and resumes; the
+/// coordinator keeps a session resident between its steps. A session opened
+/// from checkpoint() finishes bit-identical to one that was never stopped,
+/// trace bytes included, provided both take checkpoints at the same rounds
+/// (the `checkpoint` trace event is part of the stream). The session uses
+/// the runner's model and executor, so a runner drives one session at a time;
+/// after a throw the session is unusable.
+class FedAvgSession {
+ public:
+  /// Fresh run over `partition`, from the runner's current global model:
+  /// emits run_start.
+  FedAvgSession(FedAvgRunner& runner, const data::Partition& partition);
+  /// Continue the run `state` was taken from. Throws std::runtime_error when
+  /// the state does not belong to the runner's config (seed, fleet size,
+  /// model, round budget, reschedule and replication modes); otherwise
+  /// restores the loop state and replays the state's trace prefix.
+  FedAvgSession(FedAvgRunner& runner, checkpoint::RunState state);
+
+  [[nodiscard]] std::size_t rounds_completed() const noexcept { return next_round_; }
+  [[nodiscard]] bool done() const noexcept {
+    return next_round_ >= runner_.config_.rounds;
+  }
+
+  /// Run the next round. Throws std::logic_error once done().
+  void step();
+
+  /// Emit the `checkpoint` trace event and return the complete loop state
+  /// after rounds_completed() rounds. The trace writer mirrors its bytes
+  /// from the session's start, so the state carries the session's trace so
+  /// far (not what the writer held before), the prefix a resumed session
+  /// replays.
+  [[nodiscard]] checkpoint::RunState checkpoint();
+
+  /// Rounds, simulated clock, health and replica log so far; final_accuracy
+  /// stays 0 until finish().
+  [[nodiscard]] RunResult result() const;
+
+  /// Final evaluation, run_end and the run metrics; returns the complete
+  /// result. Call once, after the last step() (or on a session opened from
+  /// the final round's checkpoint).
+  [[nodiscard]] RunResult finish();
+
+ private:
+  FedAvgSession(FedAvgRunner& runner, data::Partition working,
+                std::vector<float> global_params);
+  [[nodiscard]] obs::TraceWriter& trace() noexcept {
+    return runner_.config_.trace ? *runner_.config_.trace : null_trace_;
+  }
+
+  FedAvgRunner& runner_;
+  obs::TraceWriter null_trace_;
+  std::size_t n_users_;
+  // Self-healing state: health tracking feeds the replanner, which may swap
+  // the working partition between rounds. Each lives only when its policy
+  // is on; replication reads risk from the same tracker.
+  std::optional<health::HealthTracker> tracker_;
+  std::optional<health::Replanner> replanner_;
+  std::optional<replication::ReplicationPlanner> hedger_;
+  data::Partition working_;
+  std::vector<device::Device> devices_;
+  std::vector<nn::Sgd> optimizers_;
+  common::Rng rng_;
+  // The injector's draws are pure functions of (round, client), and
+  // batteries are client-indexed, so faults keep the determinism contract.
+  FaultInjector injector_;
+  std::vector<device::Battery> batteries_;
+  RunResult result_;
+  std::vector<float> global_params_;
+  std::size_t next_round_ = 0;
+  // Where the session's part of the trace capture starts.
+  std::size_t capture_bytes_ = 0;
+  std::size_t capture_events_ = 0;
 };
 
 }  // namespace fedsched::fl

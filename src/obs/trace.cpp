@@ -17,6 +17,14 @@ TraceWriter TraceWriter::to_file(const std::string& path) {
   return writer;
 }
 
+TraceWriter TraceWriter::to_memory() {
+  TraceWriter writer;
+  writer.owned_ = std::make_unique<std::ostream>(nullptr);  // discards output
+  writer.out_ = writer.owned_.get();
+  writer.capture_ = true;
+  return writer;
+}
+
 void TraceWriter::write(const common::JsonObject& event) {
   if (!out_) return;
   const std::string line = event.str();

@@ -43,6 +43,10 @@ class TraceWriter {
   /// std::runtime_error when the file cannot be opened.
   [[nodiscard]] static TraceWriter to_file(const std::string& path);
 
+  /// Memory sink: enabled with capture on, writing nowhere else, so the
+  /// trace lives only in captured().
+  [[nodiscard]] static TraceWriter to_memory();
+
   [[nodiscard]] bool enabled() const noexcept { return out_ != nullptr; }
   [[nodiscard]] std::size_t events_written() const noexcept { return events_; }
 
@@ -54,7 +58,6 @@ class TraceWriter {
   /// it and produce a trace byte-identical to an uninterrupted one. No-op on
   /// the null sink.
   void enable_capture();
-  [[nodiscard]] bool capture_enabled() const noexcept { return capture_; }
   /// Everything written since enable_capture() (including replayed bytes).
   [[nodiscard]] const std::string& captured() const noexcept { return captured_; }
   /// Event count inside captured(). Checkpoints store this — not

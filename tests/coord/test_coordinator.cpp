@@ -3,8 +3,9 @@
 //     are rejected cleanly, leaving no registry entry on disk or in memory;
 //   * multiplexing determinism — a run's trace bytes and result document are
 //     identical whether it ran alone or interleaved with neighbors, and
-//     identical to the library one-shot path (run_train_oneshot), which is
-//     itself what `fedsched_cli train --checkpoint-every 1` drives; a fleet
+//     identical to one FedAvgSession stepped in one process with a
+//     checkpoint every round (run_train_oneshot below), which is what
+//     `fedsched_cli train --checkpoint-every 1` drives; a fleet
 //     run's trace and result equal one fleet::Session stepped in one
 //     process, the driver `fedsched_cli fleet` steps, for every planner;
 //   * kill-and-resume — a coordinator constructed over a root holding a
@@ -17,6 +18,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "coord/registry.hpp"
 #include "coord/train_job.hpp"
 #include "coord/wire.hpp"
+#include "fl/checkpoint/checkpoint.hpp"
 #include "fleet/session.hpp"
 #include "obs/trace.hpp"
 
@@ -34,6 +37,24 @@ namespace fedsched::coord {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// The complete run in one call with the coordinator's cadence (checkpoint
+/// every round) — what `fedsched_cli train --checkpoint-every 1` runs, and
+/// the reference the stepped execution must match byte-for-byte.
+fl::RunResult run_train_oneshot(const TrainRunSpec& spec,
+                                const std::string& ckpt_path,
+                                const std::string& trace_path) {
+  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
+  TrainJob job = build_train_job(spec, &trace);
+  fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
+                          job.phones, device::NetworkType::kWifi, job.config);
+  fl::FedAvgSession session(runner, job.partition);
+  while (!session.done()) {
+    session.step();
+    fl::checkpoint::save_checkpoint(session.checkpoint(), ckpt_path);
+  }
+  return session.finish();
+}
 
 class CoordService : public ::testing::Test {
  protected:
@@ -126,16 +147,20 @@ TEST_F(CoordService, FullQueueRejectsCleanly) {
 }
 
 TEST_F(CoordService, MultiplexedRunsMatchSoloRunsByteForByte) {
-  // The default budget keeps both fleet sessions resident. 450 clients is
-  // below the two fleets' 600 but holds either one, so a parked session is
+  // The default budget keeps every session resident. 450 clients is below
+  // the two fleets' 600 but holds either one, so a parked session is
   // evicted whenever the other fleet steps, and its run restores from its
-  // checkpoint mid-drain.
-  for (const std::size_t budget : {std::size_t{1'000'000}, std::size_t{450}}) {
+  // checkpoint mid-drain. 302 is below a fleet plus the 3-client train run
+  // too, so a fleet step also evicts the parked train session.
+  bool t1_queued_before_f2_stepped = false;
+  for (const std::size_t budget :
+       {std::size_t{1'000'000}, std::size_t{450}, std::size_t{302}}) {
     SCOPED_TRACE("max_resident_clients = " + std::to_string(budget));
     const std::string tag = std::to_string(budget);
     // Three runs interleaving over two workers...
     CoordinatorConfig mux_cfg = config(root("mux_" + tag));
     mux_cfg.max_resident_clients = budget;
+    mux_cfg.trace_path = root("ops_" + tag + ".jsonl");
     Coordinator multiplexed(mux_cfg);
     ASSERT_TRUE(multiplexed.submit(fleet_spec("f1", 11, 2)).accepted);
     ASSERT_TRUE(multiplexed.submit(fleet_spec("f2", 22, 2)).accepted);
@@ -143,11 +168,20 @@ TEST_F(CoordService, MultiplexedRunsMatchSoloRunsByteForByte) {
     // f2's first step must then evict f1's session.
     const bool f2_queued_first = multiplexed.status("f1")->rounds_completed == 0;
     ASSERT_TRUE(multiplexed.submit(train_spec("t1", 33)).accepted);
+    // t1 queued before f2 finished a round: f2's last round then comes
+    // after t1's first.
+    if (budget == 302) {
+      t1_queued_before_f2_stepped = multiplexed.status("f2")->rounds_completed == 0;
+    }
     multiplexed.wait_all_done();
     const bool evicted =
         multiplexed.metrics_json().find("coord.sessions_evicted") != std::string::npos;
-    if (budget >= 600) EXPECT_FALSE(evicted);
-    if (budget < 600 && f2_queued_first) EXPECT_TRUE(evicted);
+    if (budget >= 600) {
+      EXPECT_FALSE(evicted);
+    }
+    if (budget < 600 && f2_queued_first) {
+      EXPECT_TRUE(evicted);
+    }
 
     // ...must produce exactly the bytes each produces running alone.
     for (const std::string id : {"f1", "f2", "t1"}) {
@@ -164,6 +198,26 @@ TEST_F(CoordService, MultiplexedRunsMatchSoloRunsByteForByte) {
       EXPECT_EQ(multiplexed.result_document(id), solo.result_document(id)) << id;
       EXPECT_EQ(multiplexed.checkpoint_bytes(id), solo.checkpoint_bytes(id)) << id;
     }
+  }
+  // Each coordinator closed its operations trace when it went out of scope.
+  // Under the 302 budget no fleet steps beside t1, so a fleet round
+  // dispatched between t1's two rounds found t1's session parked and
+  // evicted it; its second round restored from FSC1.
+  if (t1_queued_before_f2_stepped) {
+    std::istringstream ops(read_file(root("ops_302.jsonl"), "test: ops trace"));
+    std::size_t t1_rounds = 0;
+    bool fleet_between = false;
+    for (std::string line; std::getline(ops, line);) {
+      const common::JsonValue ev = common::json_parse(line);
+      if (ev.get_string("ev", "") != "coord_round_dispatch") continue;
+      if (ev.get_string("id", "") == "t1") {
+        ++t1_rounds;
+      } else if (t1_rounds == 1) {
+        fleet_between = true;
+      }
+    }
+    EXPECT_EQ(t1_rounds, 2u);
+    EXPECT_TRUE(fleet_between);
   }
 }
 
@@ -243,10 +297,10 @@ TEST_F(CoordService, FleetRunMatchesSessionOneShot) {
     // FSF2 is the coordinator's format, so its reference is the run's
     // session kept resident in this process for every round.
     const std::string ref_ckpt = (base_ / (policy + ".ckpt")).string();
-    FleetSession resident = FleetSession::open(
+    const auto resident = FleetSession::open(
         spec.fleet, ref_ckpt, (base_ / (policy + ".resident.jsonl")).string(), 0);
     for (std::size_t round = 0; round < spec.fleet.rounds; ++round) {
-      (void)resident.step(round);
+      (void)resident->step(round);
     }
     EXPECT_EQ(coordinator.checkpoint_bytes("f1"),
               read_file(ref_ckpt, "test: reference checkpoint"));

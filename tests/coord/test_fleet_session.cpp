@@ -93,10 +93,9 @@ class CoordFleetSession : public ::testing::Test {
 
 TEST_F(CoordFleetSession, RestoredSteppingMatchesResidentStepping) {
   const FleetRunSpec spec = small_spec();
-  FleetSession resident =
-      FleetSession::open(spec, path("a.bin"), path("a.jsonl"), 0);
+  const auto resident = FleetSession::open(spec, path("a.bin"), path("a.jsonl"), 0);
   for (std::size_t r = 0; r < spec.rounds; ++r) {
-    const FleetStepOutcome a = resident.step(r);
+    const FleetStepOutcome a = resident->step(r);
     const FleetStepOutcome b =
         run_fleet_step(spec, path("b.bin"), path("b.jsonl"), r);
     EXPECT_EQ(a.rounds_completed, r + 1);
@@ -107,8 +106,8 @@ TEST_F(CoordFleetSession, RestoredSteppingMatchesResidentStepping) {
     EXPECT_EQ(read_file(path("a.bin"), "test"), read_file(path("b.bin"), "test"))
         << "round " << r;
   }
-  EXPECT_EQ(resident.summaries().size(), spec.rounds);
-  EXPECT_EQ(fleet_result_json(spec, resident.summaries()),
+  EXPECT_EQ(resident->summaries().size(), spec.rounds);
+  EXPECT_EQ(fleet_result_json(spec, resident->summaries()),
             fleet_result_json(spec, load_fleet_summaries(path("b.bin"))));
 }
 
@@ -159,25 +158,25 @@ TEST_F(CoordFleetSession, ChangedSpecFailsOnTheDigest) {
 
 TEST_F(CoordFleetSession, CheckpointAheadOfMetaReplaysInsteadOfResimulating) {
   const FleetRunSpec spec = small_spec();
-  FleetSession session = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 0);
-  (void)session.step(0);
-  (void)session.step(1);
+  const auto session = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 0);
+  (void)session->step(0);
+  (void)session->step(1);
   const std::string trace = read_file(path("c.jsonl"), "test");
   const std::string ckpt = read_file(path("c.bin"), "test");
 
   // The meta still says one round: the step must replay round 1's trace,
   // leave the checkpoint alone, and report two rounds done.
   write_raw(path("c.jsonl"), "torn");
-  FleetSession restored = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 1);
-  const FleetStepOutcome replayed = restored.step(1);
+  const auto restored = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 1);
+  const FleetStepOutcome replayed = restored->step(1);
   EXPECT_EQ(replayed.rounds_completed, 2u);
   EXPECT_FALSE(replayed.done);
   EXPECT_EQ(read_file(path("c.jsonl"), "test"), trace);
   EXPECT_EQ(read_file(path("c.bin"), "test"), ckpt);
 
   // Any other gap is a mismatch, not a replay.
-  FleetSession behind = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 1);
-  EXPECT_THROW((void)behind.step(0), std::runtime_error);
+  const auto behind = FleetSession::open(spec, path("c.bin"), path("c.jsonl"), 1);
+  EXPECT_THROW((void)behind->step(0), std::runtime_error);
 }
 
 TEST_F(CoordFleetSession, Fsf1CheckpointFailsItsRunAndNeighbourFinishes) {

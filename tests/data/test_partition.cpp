@@ -151,7 +151,9 @@ TEST(ByClassSets, HonorsClassRestriction) {
     for (std::size_t c = 0; c < 10; ++c) {
       const bool allowed =
           std::find(sets[u].begin(), sets[u].end(), c) != sets[u].end();
-      if (!allowed) EXPECT_EQ(hist[c], 0u) << "user " << u << " class " << c;
+      if (!allowed) {
+        EXPECT_EQ(hist[c], 0u) << "user " << u << " class " << c;
+      }
     }
   }
   EXPECT_EQ(p.sizes(), (std::vector<std::size_t>{40, 30, 60}));

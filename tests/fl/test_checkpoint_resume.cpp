@@ -1,7 +1,9 @@
 // Deterministic kill-and-resume: a run halted at a checkpoint and resumed
 // must be bit-identical — in every RoundRecord, the final parameters, AND the
 // trace bytes — to the same run left uninterrupted, at any parallelism width
-// on either side of the kill. Plus the binary format's own roundtrip.
+// on either side of the kill. Runs are driven through FedAvgSession with the
+// cadence `fedsched_cli train` applies (--checkpoint-every, --halt-after,
+// --resume). Plus the binary format's own roundtrip.
 
 #include "fl/checkpoint/checkpoint.hpp"
 
@@ -143,6 +145,19 @@ TEST(Checkpoint, LoadRejectsGarbageAndMissingFiles) {
   std::remove(path.c_str());
 }
 
+// Where a test run checkpoints, halts and resumes (0 / "" = never).
+struct Cadence {
+  std::string path;
+  std::size_t every_rounds = 0;
+  std::size_t halt_after_rounds = 0;
+  std::string resume_from;
+};
+
+struct Outcome {
+  RunResult result;
+  bool halted = false;
+};
+
 // Shared scenario for the resume tests: five uneven clients, faults on, and
 // online rescheduling — the full recovery path must survive the kill.
 struct ResumeFixture {
@@ -180,15 +195,34 @@ struct ResumeFixture {
     return config;
   }
 
-  RunResult run(const FlConfig& config, std::vector<float>* params = nullptr,
-                obs::TraceWriter* trace = nullptr) const {
+  /// Run `config` through a FedAvgSession (fresh, or from the checkpoint
+  /// at `cadence.resume_from`), saving to `cadence.path` after every
+  /// `every_rounds` rounds and at `halt_after_rounds`, where it stops
+  /// without finishing.
+  Outcome run(const FlConfig& config, const Cadence& cadence = {},
+              std::vector<float>* params = nullptr,
+              obs::TraceWriter* trace = nullptr) const {
     FlConfig with_trace = config;
     if (trace) with_trace.trace = trace;
     FedAvgRunner runner(train, test, spec, device::lenet_desc(), phones,
                        device::NetworkType::kWifi, with_trace);
-    RunResult result = runner.run(partition());
+    FedAvgSession session =
+        cadence.resume_from.empty()
+            ? FedAvgSession(runner, partition())
+            : FedAvgSession(runner, checkpoint::load_checkpoint(cadence.resume_from));
+    Outcome out;
+    while (!session.done() && !out.halted) {
+      session.step();
+      const std::size_t completed = session.rounds_completed();
+      out.halted = completed == cadence.halt_after_rounds;
+      if (out.halted ||
+          (cadence.every_rounds > 0 && completed % cadence.every_rounds == 0)) {
+        checkpoint::save_checkpoint(session.checkpoint(), cadence.path);
+      }
+    }
+    out.result = out.halted ? session.result() : session.finish();
     if (params) *params = runner.global_model().flat_params();
-    return result;
+    return out;
   }
 };
 
@@ -231,38 +265,39 @@ TEST(Resume, KillAndResumeBitIdenticalToUninterrupted) {
 
   // Uninterrupted 8-round baseline — same checkpoint cadence as the killed
   // run, a requirement for byte-identical traces.
-  FlConfig full = f.config(8, 1);
-  full.checkpoint.path = ckpt2;
-  full.checkpoint.every_rounds = 4;
+  const FlConfig config = f.config(8, 1);
+  Cadence full;
+  full.path = ckpt2;
+  full.every_rounds = 4;
   std::vector<float> full_params;
   obs::TraceWriter full_trace = obs::TraceWriter::to_file(trace_full);
-  const RunResult uninterrupted = f.run(full, &full_params, &full_trace);
+  const Outcome uninterrupted = f.run(config, full, &full_params, &full_trace);
   full_trace.flush();
   ASSERT_FALSE(uninterrupted.halted);
 
   // Kill after round 4...
-  FlConfig halted = f.config(8, 1);
-  halted.checkpoint.path = ckpt;
-  halted.checkpoint.every_rounds = 4;
-  halted.checkpoint.halt_after_rounds = 4;
+  Cadence halted;
+  halted.path = ckpt;
+  halted.every_rounds = 4;
+  halted.halt_after_rounds = 4;
   obs::TraceWriter halt_trace = obs::TraceWriter::to_file(tmp_path("resume_halt.jsonl"));
-  const RunResult half = f.run(halted, nullptr, &halt_trace);
+  const Outcome half = f.run(config, halted, nullptr, &halt_trace);
   halt_trace.flush();
   ASSERT_TRUE(half.halted);
-  ASSERT_EQ(half.rounds.size(), 4u);
+  ASSERT_EQ(half.result.rounds.size(), 4u);
 
   // ...and resume to completion.
-  FlConfig resumed = f.config(8, 1);
-  resumed.checkpoint.path = ckpt2;
-  resumed.checkpoint.every_rounds = 4;
-  resumed.checkpoint.resume_from = ckpt;
+  Cadence resumed;
+  resumed.path = ckpt2;
+  resumed.every_rounds = 4;
+  resumed.resume_from = ckpt;
   std::vector<float> resumed_params;
   obs::TraceWriter resume_trace = obs::TraceWriter::to_file(trace_resumed);
-  const RunResult rest = f.run(resumed, &resumed_params, &resume_trace);
+  const Outcome rest = f.run(config, resumed, &resumed_params, &resume_trace);
   resume_trace.flush();
   ASSERT_FALSE(rest.halted);
 
-  expect_identical_results(uninterrupted, rest);
+  expect_identical_results(uninterrupted.result, rest.result);
   ASSERT_EQ(full_params.size(), resumed_params.size());
   for (std::size_t i = 0; i < full_params.size(); ++i) {
     ASSERT_EQ(full_params[i], resumed_params[i]) << "param " << i;
@@ -283,16 +318,16 @@ TEST(Resume, ParallelWidthOfResumedRunDoesNotMatter) {
   ResumeFixture f;
   const std::string ckpt = tmp_path("resume_width.bin");
 
-  FlConfig halted = f.config(6, 1);
-  halted.checkpoint.path = ckpt;
-  halted.checkpoint.halt_after_rounds = 3;
-  ASSERT_TRUE(f.run(halted).halted);
+  Cadence halted;
+  halted.path = ckpt;
+  halted.halt_after_rounds = 3;
+  ASSERT_TRUE(f.run(f.config(6, 1), halted).halted);
 
   auto resume_width = [&](std::size_t parallelism) {
-    FlConfig config = f.config(6, parallelism);
-    config.checkpoint.resume_from = ckpt;
+    Cadence resumed;
+    resumed.resume_from = ckpt;
     std::vector<float> params;
-    const RunResult result = f.run(config, &params);
+    const RunResult result = f.run(f.config(6, parallelism), resumed, &params).result;
     return std::pair(result, params);
   };
   const auto [serial, serial_params] = resume_width(1);
@@ -307,22 +342,22 @@ TEST(Resume, ParallelWidthOfResumedRunDoesNotMatter) {
 TEST(Resume, MismatchedRunRejected) {
   ResumeFixture f;
   const std::string ckpt = tmp_path("resume_mismatch.bin");
-  FlConfig halted = f.config(6, 1);
-  halted.checkpoint.path = ckpt;
-  halted.checkpoint.halt_after_rounds = 3;
-  ASSERT_TRUE(f.run(halted).halted);
+  Cadence halted;
+  halted.path = ckpt;
+  halted.halt_after_rounds = 3;
+  ASSERT_TRUE(f.run(f.config(6, 1), halted).halted);
+  Cadence resumed;
+  resumed.resume_from = ckpt;
 
   // Wrong seed: the checkpoint must be refused, not silently diverge.
   FlConfig wrong_seed = f.config(6, 1);
   wrong_seed.seed = 9999;
-  wrong_seed.checkpoint.resume_from = ckpt;
-  EXPECT_THROW(f.run(wrong_seed), std::runtime_error);
+  EXPECT_THROW(f.run(wrong_seed, resumed), std::runtime_error);
 
   // Recovery off but checkpoint says it was on: also refused.
   FlConfig wrong_mode = f.config(6, 1);
   wrong_mode.reschedule = health::ReschedulePlan{};
-  wrong_mode.checkpoint.resume_from = ckpt;
-  EXPECT_THROW(f.run(wrong_mode), std::runtime_error);
+  EXPECT_THROW(f.run(wrong_mode, resumed), std::runtime_error);
 
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".meta.jsonl").c_str());
@@ -334,7 +369,7 @@ TEST(Resume, RecoveryPathBitIdenticalAcrossParallelism) {
   ResumeFixture f;
   auto run_width = [&](std::size_t parallelism) {
     std::vector<float> params;
-    const RunResult result = f.run(f.config(8, parallelism), &params);
+    const RunResult result = f.run(f.config(8, parallelism), {}, &params).result;
     return std::pair(result, params);
   };
   const auto [serial, serial_params] = run_width(1);

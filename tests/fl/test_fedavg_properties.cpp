@@ -137,7 +137,9 @@ TEST(FedAvgProperties, SeedChangesTrajectoryNotCorrectness) {
                         phones, device::NetworkType::kWifi, config);
     const double acc = runner.run(partition).final_accuracy;
     EXPECT_GT(acc, 0.6) << "seed " << seed;
-    if (previous >= 0.0) EXPECT_NE(acc, previous);  // different trajectories
+    if (previous >= 0.0) {
+      EXPECT_NE(acc, previous);  // different trajectories
+    }
     previous = acc;
   }
 }

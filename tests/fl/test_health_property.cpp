@@ -93,7 +93,9 @@ void check_invariants(const HealthTracker& tracker,
       const std::size_t bench = shadow[u].bench_lengths[k];
       EXPECT_GE(bench, cfg.probation_rounds);
       EXPECT_LE(bench, cfg.probation_max_rounds);
-      if (k > 0) EXPECT_GE(bench, shadow[u].bench_lengths[k - 1]);
+      if (k > 0) {
+        EXPECT_GE(bench, shadow[u].bench_lengths[k - 1]);
+      }
     }
     EXPECT_LE(c.probation_remaining, cfg.probation_max_rounds);
     if (c.status != ClientStatus::kProbation) {

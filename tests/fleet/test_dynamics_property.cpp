@@ -229,7 +229,7 @@ TEST(Dynamics, ScenarioPresetsAreNamedAndValid) {
     const DynamicsConfig config = scenario_config(name, 1);
     EXPECT_EQ(config.enabled, name != "static") << name;
   }
-  EXPECT_THROW(scenario_config("nope", 1), std::invalid_argument);
+  EXPECT_THROW((void)scenario_config("nope", 1), std::invalid_argument);
 }
 
 TEST(Dynamics, ChurnEventsAreAPureFunctionOfSeedRoundClient) {

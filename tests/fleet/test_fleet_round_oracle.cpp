@@ -266,7 +266,9 @@ TEST_P(FleetRoundOracle, SortedRoundMatchesHeapLoop) {
     revivals += got.revivals;
   }
   EXPECT_GT(dropped_deadline, 0u) << "the deadline must bite in some round";
-  if (tie_heavy(name)) EXPECT_GT(revivals, 0u);
+  if (tie_heavy(name)) {
+    EXPECT_GT(revivals, 0u);
+  }
 }
 
 // The sort orders times through an integer image of their bits: negative

@@ -128,9 +128,9 @@ TEST(Integration, ScenarioMinAvgCoversAndTrains) {
 TEST(Integration, FullExperimentIsDeterministic) {
   auto run_once = [] {
     const auto phones = device::testbed(1);
-    const auto users = core::build_profiles(phones, device::lenet_desc(),
-                                            device::NetworkType::kWifi, 10'000,
-                                            {.measurement_noise = 0.02, .seed = 9});
+    const auto users = core::build_profiles(
+        phones, device::lenet_desc(), device::NetworkType::kWifi, 10'000,
+        {.anchor_sizes = {}, .measurement_noise = 0.02, .seed = 9});
     const auto lbap = sched::fed_lbap(users, 100, 100);
     const auto cfg = data::mnist_like();
     const auto train = data::generate_balanced(cfg, 300, 7);
