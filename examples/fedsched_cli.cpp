@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,15 +39,26 @@ using namespace fedsched;
 
 namespace {
 
+/// The `--flag value` arguments of one subcommand. Every flag given must be
+/// one the subcommand declares; anything else (a misspelt or removed flag)
+/// is rejected before the command runs, instead of silently leaving its
+/// default in place. Reading an undeclared flag is a bug in this file and
+/// throws std::logic_error, so a declaration list cannot fall behind the
+/// code that reads it.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const std::string& command,
+       std::set<std::string> known)
+      : command_(command), known_(std::move(known)) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw std::invalid_argument("expected --flag, got '" + key + "'");
       }
       key = key.substr(2);
+      if (known_.count(key) == 0) {
+        throw std::invalid_argument("unknown flag --" + key + " for '" + command_ + "'");
+      }
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -57,20 +69,32 @@ class Args {
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
   [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : std::stol(it->second);
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : std::stod(it->second);
   }
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key); }
+  [[nodiscard]] bool has(const std::string& key) const {
+    return find(key) != values_.end();
+  }
 
  private:
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    if (known_.count(key) == 0) {
+      throw std::logic_error("flag --" + key + " is not declared for '" + command_ + "'");
+    }
+    return values_.find(key);
+  }
+
+  std::string command_;
+  std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 
@@ -908,6 +932,78 @@ void usage() {
       "                           real seconds (--chaos-hang-id; watchdog bait)\n";
 }
 
+// The flags each subcommand reads, shared groups first.
+const std::set<std::string> kFaultFlags = {
+    "fault-dropout", "fault-stall",         "fault-stall-factor", "fault-transient",
+    "fault-retries", "fault-backoff",       "fault-battery",      "fault-battery-floor",
+    "fault-soc-min", "fault-soc-max",       "fault-inject",       "deadline"};
+const std::set<std::string> kRecoveryFlags = {
+    "reschedule-policy",       "health-ewma",      "health-drift",
+    "health-probation-streak", "health-probation-rounds", "health-blacklist",
+    "health-cooldown",         "replicate-policy", "replica-budget",
+    "replica-risk-threshold",  "replicas-per-share"};
+const std::set<std::string> kClientFlags = {"socket",        "retry-attempts",
+                                            "retry-backoff", "retry-backoff-max",
+                                            "connect-timeout", "recv-timeout"};
+const std::set<std::string> kChaosFlags = {
+    "chaos",              "chaos-seed",          "chaos-crash-at",  "chaos-crash-phase",
+    "chaos-crash-prob",   "chaos-frame-truncate", "chaos-frame-close",
+    "chaos-frame-delay",  "chaos-frame-split",   "chaos-frame-delay-s",
+    "chaos-close-reply-at", "chaos-fail-round",  "chaos-fail-id",   "chaos-hang-round",
+    "chaos-hang-id",      "chaos-hang-s"};
+
+std::set<std::string> flags(std::set<std::string> own,
+                            std::initializer_list<const std::set<std::string>*> groups) {
+  for (const auto* group : groups) own.insert(group->begin(), group->end());
+  return own;
+}
+
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> table = {
+      {"profile", {cmd_profile, {"device", "model", "sizes"}}},
+      {"schedule",
+       {cmd_schedule,
+        {"testbed", "model", "samples", "shard", "policy", "network", "seed", "alpha",
+         "beta", "trace-out"}}},
+      {"simulate",
+       {cmd_simulate,
+        flags({"testbed", "model", "counts", "seed", "trace-out"}, {&kFaultFlags})}},
+      {"train",
+       {cmd_train,
+        flags({"dataset", "testbed", "model", "samples", "policy", "rounds", "seed",
+               "parallel", "verbose", "save", "trace-out", "metrics-out",
+               "checkpoint-out", "checkpoint-every", "halt-after", "resume"},
+              {&kFaultFlags, &kRecoveryFlags})}},
+      {"energy", {cmd_energy, {"device", "model", "samples", "network"}}},
+      {"fleet",
+       {cmd_fleet,
+        {"fleet-size", "fleet-mix", "model", "cost-buckets", "shard", "total-shards",
+         "rounds", "policy", "scenario", "seed", "deadline", "fault-dropout",
+         "fault-battery-floor", "parallel", "trace-out", "metrics-out"}}},
+      {"serve",
+       {cmd_serve,
+        flags({"root", "socket", "workers", "max-concurrent-rounds",
+               "max-resident-clients", "max-queued", "trace-out", "metrics-out",
+               "durable", "watchdog-s", "read-deadline", "idle-timeout"},
+              {&kChaosFlags})}},
+      {"submit",
+       {cmd_submit,
+        flags({"spec", "spec-json", "wait", "poll-ms", "result-out", "fetch-trace"},
+              {&kClientFlags})}},
+      {"coord",
+       {cmd_coord,
+        flags({"ping", "list", "status", "trace", "out", "result", "checkpoint",
+               "metrics", "shutdown"},
+              {&kClientFlags})}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -916,19 +1012,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  try {
-    const Args args(argc, argv, 2);
-    if (command == "profile") return cmd_profile(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "energy") return cmd_energy(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "submit") return cmd_submit(args);
-    if (command == "coord") return cmd_coord(args);
+  const auto it = commands().find(command);
+  if (it == commands().end()) {
     usage();
     return command == "help" || command == "--help" ? 0 : 2;
+  }
+  try {
+    const Args args(argc, argv, 2, command, it->second.flags);
+    return it->second.run(args);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -141,7 +141,12 @@ void Coordinator::evict_sessions_over_budget() {
   }
 }
 
-void Coordinator::emit(const common::JsonObject& event) { trace_.write(event); }
+void Coordinator::emit(const common::JsonObject& event) {
+  // Flushed per event: the operations trace is read while the server runs,
+  // and a crash or kill must not lose what was already reported.
+  trace_.write(event);
+  trace_.flush();
+}
 
 void Coordinator::enter_crashed_state() {
   crashed_ = true;

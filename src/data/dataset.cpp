@@ -42,9 +42,7 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
 void Dataset::fill_batch(std::span<const std::size_t> indices, tensor::Tensor& batch,
                          std::vector<std::uint16_t>& labels) const {
   const std::size_t f = features();
-  if (batch.rank() != 2 || batch.dim(0) != indices.size() || batch.dim(1) != f) {
-    batch = tensor::Tensor({indices.size(), f});
-  }
+  batch.resize({indices.size(), f});
   labels.resize(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const std::size_t src = indices[i];

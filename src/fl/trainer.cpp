@@ -17,15 +17,15 @@ EpochStats train_epoch(nn::Model& model, nn::Sgd& sgd, const data::Dataset& ds,
 
   tensor::Tensor batch;
   std::vector<std::uint16_t> labels;
+  nn::LossResult loss;
   double loss_sum = 0.0;
   for (std::size_t start = 0; start < order.size(); start += batch_size) {
     const std::size_t count = std::min(batch_size, order.size() - start);
     ds.fill_batch(std::span(order).subspan(start, count), batch, labels);
-    const tensor::Tensor logits = model.forward(batch, /*train=*/true);
-    auto result = nn::softmax_cross_entropy(logits, labels);
-    model.backward(result.grad);
+    nn::softmax_cross_entropy(model.forward(batch, /*train=*/true), labels, loss);
+    model.backward(loss.grad);
     sgd.step(model);
-    loss_sum += result.loss;
+    loss_sum += loss.loss;
     ++stats.batches;
     stats.samples += count;
   }

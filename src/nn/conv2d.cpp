@@ -1,8 +1,11 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace fedsched::nn {
 
@@ -19,11 +22,36 @@ constexpr std::size_t kSampleGrain = 8;
 /// chunks run inline on the caller (with identical boundaries and results).
 constexpr double kMinMacsForPool = 1.5e6;
 
-/// Reallocate `t` only when the shape actually changes; otherwise reuse the
-/// storage (every consumer fully overwrites it).
-void ensure_shape(Tensor& t, tensor::Shape shape) {
-  if (t.shape() != shape) t = Tensor(std::move(shape));
+/// Most channel chains one bias-sum pass advances together.
+constexpr std::size_t kMaxChains = 16;
+
+/// grad_bias[g] += the sum of channel g's values over every sample, in
+/// (sample, position) order from +0, for G channels at once: each channel
+/// keeps its own sequential chain, but the G chains advance together
+/// instead of one after another.
+template <std::size_t G>
+void add_channel_sums(const float* dy, std::size_t n, std::size_t sample_stride,
+                      std::size_t spatial, float* grad_bias) {
+  float acc[G] = {};
+  for (std::size_t s = 0; s < n; ++s) {
+    const float* base = dy + s * sample_stride;
+    for (std::size_t p = 0; p < spatial; ++p) {
+      for (std::size_t g = 0; g < G; ++g) acc[g] += base[g * spatial + p];
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) grad_bias[g] += acc[g];
 }
+
+using ChannelSumsFn = void (*)(const float*, std::size_t, std::size_t, std::size_t,
+                               float*);
+
+/// add_channel_sums<G> for G = 1..kMaxChains, indexed by G - 1.
+template <std::size_t... I>
+constexpr std::array<ChannelSumsFn, sizeof...(I)> channel_sums_table(
+    std::index_sequence<I...>) {
+  return {&add_channel_sums<I + 1>...};
+}
+constexpr auto kChannelSums = channel_sums_table(std::make_index_sequence<kMaxChains>{});
 
 }  // namespace
 
@@ -51,7 +79,8 @@ std::size_t Conv2d::sample_chunks(std::size_t n) noexcept {
   return common::ThreadPool::grain_chunks(n, kSampleGrain);
 }
 
-void Conv2d::dispatch_chunks(std::size_t n, const common::ThreadPool::ChunkFn& fn) const {
+template <typename Fn>
+void Conv2d::dispatch_chunks(std::size_t n, const Fn& fn) const {
   const std::size_t chunks = sample_chunks(n);
   if (chunks <= 1) {
     if (n > 0) fn(0, 0, n);
@@ -59,7 +88,7 @@ void Conv2d::dispatch_chunks(std::size_t n, const common::ThreadPool::ChunkFn& f
   }
   const double macs = macs_per_sample() * static_cast<double>(n);
   if (macs >= kMinMacsForPool && common::global_pool().size() > 1) {
-    common::global_pool().parallel_for_chunks(0, n, chunks, fn);
+    common::global_pool().parallel_for_chunks(0, n, chunks, std::cref(fn));
     return;
   }
   for (std::size_t c = 0; c < chunks; ++c) {
@@ -68,24 +97,21 @@ void Conv2d::dispatch_chunks(std::size_t n, const common::ThreadPool::ChunkFn& f
   }
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool train) {
+const Tensor& Conv2d::forward(const Tensor& input, bool train) {
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   if (input.rank() != 2 || input.dim(1) != in_features) {
     throw std::invalid_argument("Conv2d::forward: bad input shape " +
                                 tensor::shape_to_string(input.shape()));
   }
-  if (train) cached_input_ = input;
+  if (train) batch_ = input.dim(0);
   return policy_ == ops::KernelPolicy::kBlocked ? forward_blocked(input, train)
                                                 : forward_reference(input, train);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  if (cached_input_.numel() == 0) {
-    throw std::logic_error("Conv2d::backward before forward(train=true)");
-  }
-  const std::size_t n = cached_input_.dim(0);
+const Tensor& Conv2d::backward(const Tensor& grad_output) {
+  if (batch_ == 0) throw std::logic_error("Conv2d::backward before forward(train=true)");
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
-  if (grad_output.rank() != 2 || grad_output.dim(0) != n ||
+  if (grad_output.rank() != 2 || grad_output.dim(0) != batch_ ||
       grad_output.dim(1) != out_channels_ * spatial) {
     throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
   }
@@ -93,110 +119,132 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                                 : backward_reference(grad_output);
 }
 
-void Conv2d::unfold_batch(const Tensor& input) {
-  const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  const std::size_t n = input.dim(0);
+void Conv2d::unfold_sample(std::size_t s, std::size_t n, bool kmajor) {
+  const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
-  ensure_shape(columns_, {geometry_.patch_size(), n * spatial});
-  dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      ops::im2col_batch_sample(input.data().subspan(s * in_features, in_features),
-                               geometry_, n, s, columns_);
-    }
-  });
+  float* cols = columns_.raw() + s * spatial;
+  ops::unfold_padded(padded_.raw() + s * ops::padded_size(geometry_), geometry_, cols,
+                     n * spatial);
+  if (kmajor) {
+    const std::size_t ldb = tensor::gemm::kmajor_stride(patch);
+    ops::transpose_block(cols, n * spatial, patch, spatial,
+                         columns_kmajor_.raw() + s * spatial * ldb, ldb);
+  }
 }
 
-Tensor Conv2d::forward_blocked(const Tensor& input, bool train) {
+const Tensor& Conv2d::forward_blocked(const Tensor& input, bool train) {
+  const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   const std::size_t n = input.dim(0);
+  const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
+  const std::size_t ns = n * spatial;
+  const std::size_t padded = ops::padded_size(geometry_);
 
-  // One unfold, one GEMM, one bias+scatter — each phase chunked with fixed
-  // boundaries (samples here, output-column panels inside the GEMM).
-  unfold_batch(input);
-  columns_cached_ = train;
+  // Pad and unfold each sample — plus, for training, the k-major copy the dW
+  // GEMM reads — in fixed sample chunks. An eval batch leaves the training
+  // columns alone, so a backward after it still sees its own batch.
+  padded_.resize({n, padded});
+  columns_.resize({patch, ns});
+  if (train) columns_kmajor_.resize({ns, tensor::gemm::kmajor_stride(patch)});
+  dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t s = lo; s < hi; ++s) {
+      ops::pad_image(input.data().subspan(s * in_features, in_features), geometry_,
+                     padded_.raw() + s * padded);
+      unfold_sample(s, n, train);
+    }
+  });
+  padded_is_train_ = train;
+  if (train) columns_cached_ = true;
 
-  ensure_shape(gemm_out_, {out_channels_, n * spatial});
+  // One GEMM over the whole batch, then bias + NCHW scatter per sample (the
+  // bias is added after the full k-sum).
+  gemm_out_.resize({out_channels_, ns});
   ops::matmul(weight_, columns_, gemm_out_, gemm_ws_);
-
-  Tensor out({n, out_channels_ * spatial});
+  output_.resize({n, out_channels_ * spatial});
   dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
     const float* src = gemm_out_.raw();
     const float* pb = bias_.raw();
     for (std::size_t s = lo; s < hi; ++s) {
-      float* dst = out.raw() + s * out_channels_ * spatial;
+      float* dst = output_.raw() + s * out_channels_ * spatial;
       for (std::size_t c = 0; c < out_channels_; ++c) {
-        const float* row = src + c * n * spatial + s * spatial;
+        const float* row = src + c * ns + s * spatial;
         const float bc = pb[c];
         for (std::size_t p = 0; p < spatial; ++p) dst[c * spatial + p] = row[p] + bc;
       }
     }
   });
-  return out;
+  return output_;
 }
 
-Tensor Conv2d::backward_blocked(const Tensor& grad_output) {
-  const std::size_t n = cached_input_.dim(0);
+const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
+  const std::size_t n = batch_;
+  const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  const std::size_t ns = n * spatial;
+  const std::size_t sample_stride = out_channels_ * spatial;
+  const float* dy = grad_output.raw();
 
-  // Batch columns: reuse the forward cache when it is still valid, otherwise
-  // re-unfold from the cached input (same bits — same kernel, same input).
-  if (!columns_cached_ || columns_.dim(1) != ns) unfold_batch(cached_input_);
-  columns_cached_ = false;
-
-  // Gather dY from [N, out_c*spatial] into the GEMM layout [out_c, N*spatial].
-  ensure_shape(grad_mat_, {out_channels_, ns});
-  dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    float* dst = grad_mat_.raw();
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* src = grad_output.raw() + s * out_channels_ * spatial;
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        std::copy_n(src + c * spatial, spatial, dst + c * ns + s * spatial);
-      }
+  if (!columns_cached_) {
+    if (!padded_is_train_) {
+      throw std::logic_error(
+          "Conv2d::backward: columns dropped and the training batch overwritten");
     }
-  });
-
-  // dW += dY cols^T — one GEMM over the whole batch; the k-accumulation runs
-  // in fixed column order, so the result is width-invariant.
-  Tensor dw({out_channels_, geometry_.patch_size()});
-  ops::matmul_nt(grad_mat_, columns_, dw, gemm_ws_);
-  grad_weight_ += dw;
-
-  // db += row sums of dY (serial: out_c is tiny, order fixed).
-  {
-    float* pb = grad_bias_.raw();
-    const float* g = grad_mat_.raw();
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      const float* row = g + c * ns;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < ns; ++p) acc += row[p];
-      pb[c] += acc;
-    }
+    const std::size_t ns = n * spatial;
+    columns_.resize({patch, ns});
+    columns_kmajor_.resize({ns, tensor::gemm::kmajor_stride(patch)});
+    dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) unfold_sample(s, n, true);
+    });
+    columns_cached_ = true;
   }
 
-  if (!input_grad()) return {};
+  // dW += dY cols^T — one GEMM over the whole batch with dY read in its
+  // [n, out_c, spatial] layout and the k-major columns read in place. The
+  // product lands in weight_step_ first: grad_weight_ + (dY cols^T) keeps
+  // the product's own k grouping (and turns a -0 product into +0).
+  weight_step_.resize({out_channels_, patch});
+  tensor::gemm::gemm_conv_dw(out_channels_, patch, n * spatial, dy, spatial,
+                             columns_kmajor_.raw(), columns_kmajor_.dim(1),
+                             weight_step_.raw(), &gemm_ws_, &common::global_pool());
+  grad_weight_ += weight_step_;
 
-  // dcols = W^T dY — the second batch-level GEMM — then fold per sample.
-  ensure_shape(grad_cols_, {geometry_.patch_size(), ns});
-  ops::matmul_tn(weight_, grad_mat_, grad_cols_, gemm_ws_);
+  // db += per-channel sums of dY, up to kMaxChains channel chains at a time.
+  for (std::size_t c = 0; c < out_channels_; c += kMaxChains) {
+    const std::size_t chains = std::min(kMaxChains, out_channels_ - c);
+    kChannelSums[chains - 1](dy + c * spatial, n, sample_stride, spatial,
+                             grad_bias_.raw() + c);
+  }
 
-  Tensor dx({n, in_features});
-  dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+  if (!input_grad()) return input_grad_;
+
+  // dX: dcols = W^T dY over the whole batch (dY read in place), then each
+  // sample folds its column slice through a padded scratch image.
+  const std::size_t ns = n * spatial;
+  const std::size_t padded = ops::padded_size(geometry_);
+  grad_cols_.resize({patch, ns});
+  tensor::gemm::gemm_conv_dx(patch, ns, out_channels_, weight_.raw(), dy, spatial,
+                             grad_cols_.raw(), &gemm_ws_, &common::global_pool());
+  fold_scratch_.resize({sample_chunks(n), padded});
+  input_grad_.resize({n, in_features});
+  dispatch_chunks(n, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+    float* scratch = fold_scratch_.raw() + chunk * padded;
     for (std::size_t s = lo; s < hi; ++s) {
-      auto img = dx.data().subspan(s * in_features, in_features);
-      ops::col2im_batch_sample(grad_cols_, geometry_, n, s, img);
+      ops::fold_padded(grad_cols_.raw() + s * spatial, ns, geometry_, scratch);
+      ops::crop_image(scratch, geometry_,
+                      input_grad_.data().subspan(s * in_features, in_features));
     }
   });
-  return dx;
+  return input_grad_;
 }
 
-Tensor Conv2d::forward_reference(const Tensor& input, bool) {
+const Tensor& Conv2d::forward_reference(const Tensor& input, bool train) {
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   const std::size_t n = input.dim(0);
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
 
-  Tensor out({n, out_channels_ * spatial});
+  if (train) cached_input_ = input;
+  Tensor& out = output_;
+  out.resize({n, out_channels_ * spatial});
   dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
     Tensor columns({geometry_.patch_size(), spatial});
     Tensor result({out_channels_, spatial});
@@ -216,13 +264,16 @@ Tensor Conv2d::forward_reference(const Tensor& input, bool) {
   return out;
 }
 
-Tensor Conv2d::backward_reference(const Tensor& grad_output) {
+const Tensor& Conv2d::backward_reference(const Tensor& grad_output) {
   const std::size_t n = cached_input_.dim(0);
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
 
-  Tensor dx;
-  if (input_grad()) dx = Tensor({n, in_features});
+  Tensor& dx = input_grad_;
+  if (input_grad()) {
+    dx.resize({n, in_features});
+    dx.zero();
+  }
   // Per-chunk weight/bias gradient partials: each chunk sums its own samples,
   // then the partials reduce in chunk order. Since chunk boundaries depend
   // only on n, the accumulation order is the same for any thread count.

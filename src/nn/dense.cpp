@@ -25,23 +25,23 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng
   }
 }
 
-Tensor Dense::forward(const Tensor& input, bool train) {
+const Tensor& Dense::forward(const Tensor& input, bool train) {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Dense::forward: expected [N," + std::to_string(in_) +
                                 "], got " + tensor::shape_to_string(input.shape()));
   }
   if (train) cached_input_ = input;
-  Tensor out({input.dim(0), out_});
+  output_.resize({input.dim(0), out_});
   if (policy_ == ops::KernelPolicy::kBlocked) {
-    ops::matmul_nt(input, weight_, out, gemm_ws_);
+    ops::matmul_nt(input, weight_, output_, gemm_ws_);
   } else {
-    ops::matmul_nt_ref(input, weight_, out);
+    ops::matmul_nt_ref(input, weight_, output_);
   }
-  ops::add_row_bias(out, bias_);
-  return out;
+  ops::add_row_bias(output_, bias_);
+  return output_;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+const Tensor& Dense::backward(const Tensor& grad_output) {
   if (cached_input_.numel() == 0) {
     throw std::logic_error("Dense::backward before forward(train=true)");
   }
@@ -49,27 +49,28 @@ Tensor Dense::backward(const Tensor& grad_output) {
   if (grad_output.rank() != 2 || grad_output.dim(0) != n || grad_output.dim(1) != out_) {
     throw std::invalid_argument("Dense::backward: grad shape mismatch");
   }
-  // dW = dY^T X ; db = column sums of dY ; dX = dY W.
+  // dW = dY^T X ; db = column sums of dY ; dX = dY W. Each parameter
+  // gradient is computed whole, then added: grad + (this batch's sum).
   const bool blocked = policy_ == ops::KernelPolicy::kBlocked;
-  Tensor dw({out_, in_});
+  weight_step_.resize({out_, in_});
   if (blocked) {
-    ops::matmul_tn(grad_output, cached_input_, dw, gemm_ws_);
+    ops::matmul_tn(grad_output, cached_input_, weight_step_, gemm_ws_);
   } else {
-    ops::matmul_tn_ref(grad_output, cached_input_, dw);
+    ops::matmul_tn_ref(grad_output, cached_input_, weight_step_);
   }
-  grad_weight_ += dw;
-  Tensor db({out_});
-  ops::sum_rows(grad_output, db);
-  grad_bias_ += db;
-  if (!input_grad()) return {};
+  grad_weight_ += weight_step_;
+  bias_step_.resize({out_});
+  ops::sum_rows(grad_output, bias_step_);
+  grad_bias_ += bias_step_;
+  if (!input_grad()) return input_grad_;
 
-  Tensor dx({n, in_});
+  input_grad_.resize({n, in_});
   if (blocked) {
-    ops::matmul(grad_output, weight_, dx, gemm_ws_);
+    ops::matmul(grad_output, weight_, input_grad_, gemm_ws_);
   } else {
-    ops::matmul_ref(grad_output, weight_, dx);
+    ops::matmul_ref(grad_output, weight_, input_grad_);
   }
-  return dx;
+  return input_grad_;
 }
 
 std::vector<Param> Dense::params() {

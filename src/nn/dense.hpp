@@ -3,8 +3,8 @@
 //
 // The KernelPolicy selects between the blocked GEMM engine (default) and the
 // naive reference kernels; both produce width-invariant bits (see
-// tensor/ops.hpp). The layer owns a GemmWorkspace so steady-state training
-// packs into reused buffers.
+// tensor/ops.hpp). The layer owns its output, its input copy, its gradient
+// scratch and a GemmWorkspace, so steady-state training reuses every buffer.
 
 #include "nn/layer.hpp"
 #include "tensor/ops.hpp"
@@ -17,8 +17,9 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng,
         tensor::ops::KernelPolicy policy = tensor::ops::KernelPolicy::kBlocked);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  [[nodiscard]] const tensor::Tensor& forward(const tensor::Tensor& input,
+                                              bool train) override;
+  [[nodiscard]] const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_features(std::size_t input_features) const override;
@@ -36,7 +37,11 @@ class Dense final : public Layer {
   tensor::Tensor bias_;         // [out]
   tensor::Tensor grad_weight_;  // [out, in]
   tensor::Tensor grad_bias_;    // [out]
-  tensor::Tensor cached_input_;  // [N, in] from the last training forward
+  tensor::Tensor cached_input_;  // [N, in] copy of the last training batch
+  tensor::Tensor output_;        // [N, out]
+  tensor::Tensor input_grad_;    // [N, in]; stays empty with input_grad() off
+  tensor::Tensor weight_step_;   // [out, in] this batch's dW, then added
+  tensor::Tensor bias_step_;     // [out] this batch's db, then added
   tensor::ops::GemmWorkspace gemm_ws_;  // packing buffers, reused per batch
 };
 

@@ -2,8 +2,12 @@
 // Layer interface for the from-scratch training stack.
 //
 // Batches travel as 2-D tensors [N, features]; convolutional layers carry
-// their own spatial geometry. Each layer caches what its backward pass needs
-// during forward(train=true).
+// their own spatial geometry. Each layer copies what its backward pass needs
+// into storage it owns during forward(train=true), and owns the tensors it
+// returns: forward() and backward() hand out a reference that stays valid
+// until the same layer's next call of that kind. Owned buffers are sized at
+// the first batch and reused (a smaller ragged tail batch fits the same
+// storage), so a steady-state training step allocates nothing.
 //
 // Parameters are tagged Conv or Dense because the paper's performance
 // profiler (Section IV-B) regresses training time against the two groups
@@ -31,14 +35,18 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass; when train is true the layer may cache activations.
-  [[nodiscard]] virtual tensor::Tensor forward(const tensor::Tensor& input,
-                                               bool train) = 0;
+  /// Forward pass; when train is true the layer keeps what backward needs.
+  /// The layer keeps no reference to `input` past the call. The result is
+  /// the layer's own output buffer, valid until its next forward().
+  [[nodiscard]] virtual const tensor::Tensor& forward(const tensor::Tensor& input,
+                                                      bool train) = 0;
 
   /// Backward pass w.r.t. the most recent forward(train=true) input.
   /// Accumulates into parameter gradients and returns grad w.r.t. input —
-  /// or, for a Conv2d or Dense with input_grad() off, an empty tensor.
-  [[nodiscard]] virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+  /// or, for a Conv2d or Dense with input_grad() off, an empty tensor. The
+  /// result is the layer's own buffer, valid until its next backward().
+  [[nodiscard]] virtual const tensor::Tensor& backward(
+      const tensor::Tensor& grad_output) = 0;
 
   /// Whether backward() computes the gradient w.r.t. the input (default on).
   /// Model::add turns it off for a model's first layer, whose input is the

@@ -23,13 +23,19 @@ void softmax_row(const float* logits, float* probs, std::size_t k) {
 
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  std::span<const std::uint16_t> labels) {
+  LossResult result;
+  softmax_cross_entropy(logits, labels, result);
+  return result;
+}
+
+void softmax_cross_entropy(const Tensor& logits, std::span<const std::uint16_t> labels,
+                           LossResult& result) {
   if (logits.rank() != 2) throw std::invalid_argument("softmax_cross_entropy: rank != 2");
   const std::size_t n = logits.dim(0), k = logits.dim(1);
   if (labels.size() != n) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  LossResult result;
-  result.grad = Tensor({n, k});
+  result.grad.resize({n, k});
   const float* pl = logits.raw();
   float* pg = result.grad.raw();
   double total = 0.0;
@@ -44,7 +50,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
     for (std::size_t j = 0; j < k; ++j) row[j] *= inv_n;
   }
   result.loss = total / static_cast<double>(n);
-  return result;
 }
 
 Tensor softmax(const Tensor& logits) {

@@ -17,6 +17,11 @@ struct LossResult {
 [[nodiscard]] LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                                std::span<const std::uint16_t> labels);
 
+/// The same into `result`, reusing result.grad's storage: the form a
+/// training loop calls once per batch without allocating.
+void softmax_cross_entropy(const tensor::Tensor& logits,
+                           std::span<const std::uint16_t> labels, LossResult& result);
+
 /// Row-wise softmax probabilities (numerically stabilized), for inference.
 [[nodiscard]] tensor::Tensor softmax(const tensor::Tensor& logits);
 

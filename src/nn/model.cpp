@@ -11,57 +11,44 @@ using tensor::Tensor;
 void Model::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("Model::add: null layer");
   if (layers_.empty()) layer->set_input_grad(false);
+  for (const Param& p : layer->params()) params_.push_back(p);
   layers_.push_back(std::move(layer));
 }
 
-Tensor Model::forward(const Tensor& input, bool train) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
-  return x;
+const Tensor& Model::forward(const Tensor& input, bool train) {
+  const Tensor* x = &input;
+  for (auto& layer : layers_) x = &layer->forward(*x, train);
+  return *x;
 }
 
 void Model::backward(const Tensor& grad_loss) {
-  Tensor g = grad_loss;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
-}
-
-std::vector<Param> Model::params() {
-  std::vector<Param> all;
-  for (auto& layer : layers_) {
-    for (const Param& p : layer->params()) all.push_back(p);
-  }
-  return all;
+  const Tensor* g = &grad_loss;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = &(*it)->backward(*g);
 }
 
 void Model::zero_grads() {
-  for (auto& layer : layers_) {
-    for (const Param& p : layer->params()) p.grad->zero();
-  }
+  for (const Param& p : params_) p.grad->zero();
 }
 
 std::vector<float> Model::flat_params() const {
   std::vector<float> flat;
   flat.reserve(param_count());
-  for (const auto& layer : layers_) {
-    for (const Param& p : const_cast<Layer&>(*layer).params()) {
-      const auto data = p.value->data();
-      flat.insert(flat.end(), data.begin(), data.end());
-    }
+  for (const Param& p : params_) {
+    const auto data = p.value->data();
+    flat.insert(flat.end(), data.begin(), data.end());
   }
   return flat;
 }
 
 void Model::set_flat_params(std::span<const float> flat) {
   std::size_t offset = 0;
-  for (auto& layer : layers_) {
-    for (const Param& p : layer->params()) {
-      const std::size_t n = p.value->numel();
-      if (offset + n > flat.size()) {
-        throw std::invalid_argument("Model::set_flat_params: vector too short");
-      }
-      std::copy_n(flat.data() + offset, n, p.value->raw());
-      offset += n;
+  for (const Param& p : params_) {
+    const std::size_t n = p.value->numel();
+    if (offset + n > flat.size()) {
+      throw std::invalid_argument("Model::set_flat_params: vector too short");
     }
+    std::copy_n(flat.data() + offset, n, p.value->raw());
+    offset += n;
   }
   if (offset != flat.size()) {
     throw std::invalid_argument("Model::set_flat_params: vector too long");
@@ -71,11 +58,9 @@ void Model::set_flat_params(std::span<const float> flat) {
 std::vector<float> Model::flat_grads() const {
   std::vector<float> flat;
   flat.reserve(param_count());
-  for (const auto& layer : layers_) {
-    for (const Param& p : const_cast<Layer&>(*layer).params()) {
-      const auto data = p.grad->data();
-      flat.insert(flat.end(), data.begin(), data.end());
-    }
+  for (const Param& p : params_) {
+    const auto data = p.grad->data();
+    flat.insert(flat.end(), data.begin(), data.end());
   }
   return flat;
 }
@@ -86,10 +71,8 @@ std::size_t Model::param_count() const noexcept {
 
 std::size_t Model::param_count(ParamKind kind) const noexcept {
   std::size_t total = 0;
-  for (const auto& layer : layers_) {
-    for (const Param& p : const_cast<Layer&>(*layer).params()) {
-      if (p.kind == kind) total += p.value->numel();
-    }
+  for (const Param& p : params_) {
+    if (p.kind == kind) total += p.value->numel();
   }
   return total;
 }
@@ -131,7 +114,7 @@ double Model::accuracy(const Tensor& inputs, std::span<const std::uint16_t> labe
     const std::size_t count = std::min(batch_size, n - start);
     Tensor batch({count, features});
     std::copy_n(inputs.raw() + start * features, count * features, batch.raw());
-    const Tensor logits = forward(batch, /*train=*/false);
+    const Tensor& logits = forward(batch, /*train=*/false);
     const auto preds = argmax_rows(logits);
     for (std::size_t i = 0; i < count; ++i) {
       if (preds[i] == labels[start + i]) ++correct;

@@ -33,12 +33,18 @@ class Model {
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
   [[nodiscard]] Layer& layer(std::size_t i) { return *layers_.at(i); }
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool train = false);
+  /// Run every layer, each reading the previous layer's owned output. The
+  /// result is the last layer's output buffer (the input itself for an empty
+  /// model), valid until the next forward().
+  [[nodiscard]] const tensor::Tensor& forward(const tensor::Tensor& input,
+                                              bool train = false);
   /// Backpropagate loss gradient through every layer (after forward(train)).
   /// Fills every parameter gradient; layer 0 computes no input gradient.
   void backward(const tensor::Tensor& grad_loss);
 
-  [[nodiscard]] std::vector<Param> params();
+  /// Every parameter handle in layer order, collected once as layers are
+  /// added (the handles point into the layers, which never move).
+  [[nodiscard]] const std::vector<Param>& params() noexcept { return params_; }
 
   void zero_grads();
 
@@ -66,6 +72,7 @@ class Model {
 
  private:
   std::vector<LayerPtr> layers_;
+  std::vector<Param> params_;
   tensor::ops::KernelPolicy kernels_ = tensor::ops::KernelPolicy::kBlocked;
 };
 

@@ -17,7 +17,7 @@ std::vector<float> Sgd::flat_velocity() const {
 void Sgd::set_flat_velocity(Model& model, std::span<const float> flat) {
   velocity_.clear();
   if (flat.empty()) return;
-  auto params = model.params();
+  const std::vector<Param>& params = model.params();
   std::size_t total = 0;
   for (const Param& p : params) total += p.value->numel();
   if (total != flat.size()) {
@@ -36,35 +36,43 @@ void Sgd::set_flat_velocity(Model& model, std::span<const float> flat) {
 }
 
 void Sgd::step(Model& model) {
-  auto params = model.params();
-  if (config_.momentum > 0.0f && velocity_.size() != params.size()) {
+  const std::vector<Param>& params = model.params();
+  // Locals, not config_ reads: the loops store through float pointers, which
+  // could alias config_'s floats, so reading config_ inside them would keep
+  // them scalar.
+  const float lr = config_.learning_rate;
+  const float momentum = config_.momentum;
+  const float decay = config_.weight_decay;
+  if (momentum > 0.0f && velocity_.size() != params.size()) {
     velocity_.clear();
     velocity_.reserve(params.size());
     for (const Param& p : params) velocity_.emplace_back(p.value->shape());
   }
 
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Param& p = params[i];
+    const Param& p = params[i];
     if (!p.value->same_shape(*p.grad)) {
       throw std::logic_error("Sgd::step: grad/param shape mismatch");
     }
     float* value = p.value->raw();
     float* grad = p.grad->raw();
     const std::size_t n = p.value->numel();
-    if (config_.momentum > 0.0f) {
+    // Each gradient is consumed and cleared in the same pass.
+    if (momentum > 0.0f) {
       float* vel = velocity_[i].raw();
       for (std::size_t j = 0; j < n; ++j) {
-        const float g = grad[j] + config_.weight_decay * value[j];
-        vel[j] = config_.momentum * vel[j] + g;
-        value[j] -= config_.learning_rate * vel[j];
+        const float g = grad[j] + decay * value[j];
+        vel[j] = momentum * vel[j] + g;
+        value[j] -= lr * vel[j];
+        grad[j] = 0.0f;
       }
     } else {
       for (std::size_t j = 0; j < n; ++j) {
-        const float g = grad[j] + config_.weight_decay * value[j];
-        value[j] -= config_.learning_rate * g;
+        const float g = grad[j] + decay * value[j];
+        value[j] -= lr * g;
+        grad[j] = 0.0f;
       }
     }
-    p.grad->zero();
   }
 }
 

@@ -1,6 +1,8 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -15,40 +17,100 @@ namespace {
 /// Inline and pooled execution share chunk boundaries, so the bits agree.
 constexpr double kMinMacsForPool = 1.5e6;
 
-/// Pack an [mc, kc] block of op(A) into kMr-tall row strips: strip s stores
-/// element (s*kMr + i, p) at dst[(s*kc + p) * kMr + i]. Rows past mc are
-/// zero-filled so every strip has the full kMr layout (the row-count-
-/// specialized microkernels never read the padding).
-void pack_a(std::size_t mc, std::size_t kc, const float* a, std::size_t a_rs,
-            std::size_t a_cs, float* dst) {
+/// A GEMM operand: element (r, x) is p[r * rs + seg(x)] with
+/// seg(x) = (x / seg_len) * seg_stride + (x % seg_len) * cs. The segmented
+/// index x is k for op(A) and n for op(B). A plain strided operand is one
+/// segment (seg_len = SIZE_MAX); conv dY in its [n, oc, spatial] batch layout
+/// is n segments of `spatial` (k for dW's op(A), n for dX's op(B)).
+struct Operand {
+  const float* p;
+  std::size_t rs;
+  std::size_t cs;
+  std::size_t seg_len = SIZE_MAX;
+  std::size_t seg_stride = 0;
+
+  /// Offset of segmented index x, and how many indices from x on stay in
+  /// its segment (contiguous at stride cs).
+  [[nodiscard]] std::size_t offset(std::size_t x) const noexcept {
+    return (x / seg_len) * seg_stride + (x % seg_len) * cs;
+  }
+  [[nodiscard]] std::size_t run(std::size_t x) const noexcept {
+    return seg_len - x % seg_len;
+  }
+};
+
+/// Pack the [mc, kc] block of op(A) at (row0, k0) into kMr-tall row strips:
+/// strip s stores element (s*kMr + i, p) at dst[(s*kc + p) * kMr + i]. Rows
+/// past mc are zero-filled so every strip has the full kMr layout (the
+/// row-count-specialized microkernels never read the padding).
+void pack_a(std::size_t mc, std::size_t kc, const Operand& a, std::size_t row0,
+            std::size_t k0, float* dst) {
   const std::size_t strips = (mc + kMr - 1) / kMr;
   for (std::size_t s = 0; s < strips; ++s) {
     const std::size_t rows = std::min(kMr, mc - s * kMr);
     float* strip = dst + s * kc * kMr;
-    const float* src = a + s * kMr * a_rs;
-    for (std::size_t p = 0; p < kc; ++p) {
-      float* cell = strip + p * kMr;
-      for (std::size_t i = 0; i < rows; ++i) cell[i] = src[i * a_rs + p * a_cs];
-      for (std::size_t i = rows; i < kMr; ++i) cell[i] = 0.0f;
+    const float* row = a.p + (row0 + s * kMr) * a.rs;
+    for (std::size_t p = 0; p < kc;) {
+      const std::size_t run = std::min(kc - p, a.run(k0 + p));
+      const float* src = row + a.offset(k0 + p);
+      std::size_t q = 0;
+#ifdef __SSE__
+      // Full strips of contiguous rows: 4x4 register transposes.
+      if (rows == kMr && a.cs == 1) {
+        for (; q + 4 <= run; q += 4) {
+          __m128 r0 = _mm_loadu_ps(src + q);
+          __m128 r1 = _mm_loadu_ps(src + a.rs + q);
+          __m128 r2 = _mm_loadu_ps(src + 2 * a.rs + q);
+          __m128 r3 = _mm_loadu_ps(src + 3 * a.rs + q);
+          _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+          float* cell = strip + (p + q) * kMr;
+          _mm_storeu_ps(cell, r0);
+          _mm_storeu_ps(cell + kMr, r1);
+          _mm_storeu_ps(cell + 2 * kMr, r2);
+          _mm_storeu_ps(cell + 3 * kMr, r3);
+        }
+      }
+#endif
+      for (; q < run; ++q) {
+        float* cell = strip + (p + q) * kMr;
+        for (std::size_t i = 0; i < rows; ++i) cell[i] = src[i * a.rs + q * a.cs];
+        for (std::size_t i = rows; i < kMr; ++i) cell[i] = 0.0f;
+      }
+      p += run;
     }
   }
 }
 
-/// Pack a [kc, nc] block of op(B) into kNr-wide column strips: strip s stores
-/// element (p, s*kNr + j) at dst[(s*kc + p) * kNr + j], zero-padded columns.
-/// Only needed when B's columns are strided (the NT layout) or for the
-/// ragged last strip — when b_cs == 1 the microkernel reads B directly.
-void pack_b(std::size_t kc, std::size_t nc, const float* b, std::size_t b_rs,
-            std::size_t b_cs, float* dst) {
+/// Pack the [kc, nc] block of op(B) at (k0, n0) into kNr-wide column strips:
+/// strip s stores element (p, s*kNr + j) at dst[(s*kc + p) * kNr + j],
+/// zero-padded columns. Only needed when B's columns are strided (the NT
+/// layout) or segmented, or for the ragged last strip — when they are
+/// contiguous the microkernel reads B directly.
+void pack_b(std::size_t kc, std::size_t nc, const Operand& b, std::size_t k0,
+            std::size_t n0, float* dst) {
   const std::size_t strips = (nc + kNr - 1) / kNr;
+  const float* block = b.p + k0 * b.rs;
   for (std::size_t s = 0; s < strips; ++s) {
     const std::size_t cols = std::min(kNr, nc - s * kNr);
+    const std::size_t x0 = n0 + s * kNr;
     float* strip = dst + s * kc * kNr;
-    const float* src = b + s * kNr * b_cs;
-    for (std::size_t p = 0; p < kc; ++p) {
-      float* cell = strip + p * kNr;
-      for (std::size_t j = 0; j < cols; ++j) cell[j] = src[p * b_rs + j * b_cs];
-      for (std::size_t j = cols; j < kNr; ++j) cell[j] = 0.0f;
+    if (b.run(x0) >= cols) {
+      // The strip lies in one segment (always, for a plain operand).
+      const float* src = block + b.offset(x0);
+      for (std::size_t p = 0; p < kc; ++p) {
+        float* cell = strip + p * kNr;
+        for (std::size_t j = 0; j < cols; ++j) cell[j] = src[p * b.rs + j * b.cs];
+        for (std::size_t j = cols; j < kNr; ++j) cell[j] = 0.0f;
+      }
+    } else {
+      std::size_t offset[kNr];
+      for (std::size_t j = 0; j < cols; ++j) offset[j] = b.offset(x0 + j);
+      for (std::size_t p = 0; p < kc; ++p) {
+        float* cell = strip + p * kNr;
+        const float* row = block + p * b.rs;
+        for (std::size_t j = 0; j < cols; ++j) cell[j] = row[offset[j]];
+        for (std::size_t j = cols; j < kNr; ++j) cell[j] = 0.0f;
+      }
     }
   }
 }
@@ -195,45 +257,48 @@ const SweepKernelFn* active_kernels() {
 /// One column panel [n0, n1) of the product: packs its own operand slices and
 /// writes only its own C columns, so panels are fully independent.
 void run_panel(std::size_t m, std::size_t n, std::size_t k, std::size_t n0,
-               std::size_t n1, const float* a, std::size_t a_rs, std::size_t a_cs,
-               const float* b, std::size_t b_rs, std::size_t b_cs, float* c,
+               std::size_t n1, const Operand& a, const Operand& b, float* c,
                Workspace::Buffers& buf) {
   const SweepKernelFn* kernels = active_kernels();
   const std::size_t nc = n1 - n0;
   const std::size_t nstrips = (nc + kNr - 1) / kNr;
   const std::size_t kc_max = std::min(k, kKc);
   // Contiguous B columns (NN/TN layouts): read B in place and pack only the
-  // ragged last strip. Strided columns (NT): pack the whole panel.
-  const bool direct_b = b_cs == 1;
+  // ragged last strip. Strided or segmented columns: pack the whole panel.
+  const bool direct_b = b.cs == 1 && b.seg_len == SIZE_MAX;
   const std::size_t tail_cols = nc % kNr;
   const std::size_t full_strips = nc / kNr;
+  // Rows padded past n with room for a whole strip: the ragged strip is read
+  // in place too (its extra columns land in the stack tile and are dropped).
+  const bool tail_in_place = direct_b && n0 + (full_strips + 1) * kNr <= b.rs;
   buf.b_pack.resize((direct_b ? 1 : nstrips) * kNr * kc_max);
   buf.a_pack.resize(((std::min(m, kMc) + kMr - 1) / kMr) * kMr * kc_max);
 
   for (std::size_t pk = 0; pk < k; pk += kKc) {
     const std::size_t kc = std::min(kKc, k - pk);
     const bool first_k_block = pk == 0;
-    const float* bblock = b + pk * b_rs + n0 * b_cs;
     if (direct_b) {
-      if (tail_cols != 0) {
-        pack_b(kc, tail_cols, bblock + full_strips * kNr, b_rs, 1,
-               buf.b_pack.data());
+      if (tail_cols != 0 && !tail_in_place) {
+        pack_b(kc, tail_cols, b, pk, n0 + full_strips * kNr, buf.b_pack.data());
       }
     } else {
-      pack_b(kc, nc, bblock, b_rs, b_cs, buf.b_pack.data());
+      pack_b(kc, nc, b, pk, n0, buf.b_pack.data());
     }
     // Full-width strips: one sweep-kernel call covers them all.
-    const float* bfull = direct_b ? bblock : buf.b_pack.data();
-    const std::size_t bstride = direct_b ? b_rs : kNr;
+    const float* bfull = direct_b ? b.p + pk * b.rs + n0 : buf.b_pack.data();
+    const std::size_t bstride = direct_b ? b.rs : kNr;
     const std::size_t bstep = direct_b ? kNr : kc * kNr;
-    // Ragged tail strip: always packed (zero-padded to kNr columns).
+    // Ragged tail strip: packed (zero-padded to kNr columns) unless read in place.
     const float* btail =
-        direct_b ? buf.b_pack.data() : buf.b_pack.data() + full_strips * kc * kNr;
+        tail_in_place ? bfull + full_strips * kNr
+        : direct_b    ? buf.b_pack.data()
+                      : buf.b_pack.data() + full_strips * kc * kNr;
+    const std::size_t tail_stride = tail_in_place ? b.rs : kNr;
 
     for (std::size_t pm = 0; pm < m; pm += kMc) {
       const std::size_t mc = std::min(kMc, m - pm);
       const std::size_t mstrips = (mc + kMr - 1) / kMr;
-      pack_a(mc, kc, a + pm * a_rs + pk * a_cs, a_rs, a_cs, buf.a_pack.data());
+      pack_a(mc, kc, a, pm, pk, buf.a_pack.data());
 
       for (std::size_t sm = 0; sm < mstrips; ++sm) {
         const std::size_t rows = std::min(kMr, mc - sm * kMr);
@@ -247,7 +312,7 @@ void run_panel(std::size_t m, std::size_t n, std::size_t k, std::size_t n0,
           // Compute into a stack tile (the kernel always stores kNr-wide
           // rows), then copy/fold only the real columns.
           float tile[kMr * kNr];
-          kernels[rows - 1](kc, ap, btail, kNr, 0, tile, kNr, 1, false);
+          kernels[rows - 1](kc, ap, btail, tail_stride, 0, tile, kNr, 1, false);
           float* cbase = crow + full_strips * kNr;
           if (first_k_block) {
             for (std::size_t i = 0; i < rows; ++i) {
@@ -268,15 +333,8 @@ void run_panel(std::size_t m, std::size_t n, std::size_t k, std::size_t n0,
   }
 }
 
-}  // namespace
-
-std::size_t panel_count(std::size_t n) noexcept {
-  return n == 0 ? 0 : common::ThreadPool::grain_chunks(n, kNc);
-}
-
-void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
-          std::size_t a_rs, std::size_t a_cs, const float* b, std::size_t b_rs,
-          std::size_t b_cs, float* c, Workspace* ws, common::ThreadPool* pool) {
+void run_gemm(std::size_t m, std::size_t n, std::size_t k, const Operand& a,
+              const Operand& b, float* c, Workspace* ws, common::ThreadPool* pool) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::fill(c, c + m * n, 0.0f);
@@ -288,18 +346,43 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
   w.ensure(panels);
 
   const auto panel_fn = [&](std::size_t idx, std::size_t lo, std::size_t hi) {
-    run_panel(m, n, k, lo, hi, a, a_rs, a_cs, b, b_rs, b_cs, c, w.slot(idx));
+    run_panel(m, n, k, lo, hi, a, b, c, w.slot(idx));
   };
   const double macs = static_cast<double>(m) * static_cast<double>(n) *
                       static_cast<double>(k);
   if (panels > 1 && pool != nullptr && pool->size() > 1 && macs >= kMinMacsForPool) {
-    pool->parallel_for_chunks(0, n, panels, panel_fn);
+    pool->parallel_for_chunks(0, n, panels, std::cref(panel_fn));
   } else {
     for (std::size_t idx = 0; idx < panels; ++idx) {
       const auto [lo, hi] = common::ThreadPool::chunk_bounds(0, n, panels, idx);
       panel_fn(idx, lo, hi);
     }
   }
+}
+
+}  // namespace
+
+std::size_t panel_count(std::size_t n) noexcept {
+  return n == 0 ? 0 : common::ThreadPool::grain_chunks(n, kNc);
+}
+
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t a_rs, std::size_t a_cs, const float* b, std::size_t b_rs,
+          std::size_t b_cs, float* c, Workspace* ws, common::ThreadPool* pool) {
+  run_gemm(m, n, k, {a, a_rs, a_cs}, {b, b_rs, b_cs}, c, ws, pool);
+}
+
+void gemm_conv_dw(std::size_t m, std::size_t n, std::size_t k, const float* dy,
+                  std::size_t spatial, const float* cols_kmajor, std::size_t ldb,
+                  float* c, Workspace* ws, common::ThreadPool* pool) {
+  run_gemm(m, n, k, {dy, spatial, 1, spatial, m * spatial}, {cols_kmajor, ldb, 1}, c,
+           ws, pool);
+}
+
+void gemm_conv_dx(std::size_t m, std::size_t n, std::size_t k, const float* weight,
+                  const float* dy, std::size_t spatial, float* c, Workspace* ws,
+                  common::ThreadPool* pool) {
+  run_gemm(m, n, k, {weight, 1, m}, {dy, spatial, 1, spatial, k * spatial}, c, ws, pool);
 }
 
 }  // namespace fedsched::tensor::gemm

@@ -1,8 +1,14 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/thread_pool.hpp"
+
+#ifdef __SSE__
+#include <xmmintrin.h>
+#endif
 
 namespace fedsched::tensor::ops {
 
@@ -99,6 +105,35 @@ void col2im_from(const float* pc, const Conv2dGeometry& g, std::span<float> imag
       }
     }
   }
+}
+
+/// dst[0, n) = src[0, n) for the short rows of the unfold and fold (a few
+/// floats each): four at a time, with no library call per row.
+inline void copy_row(const float* src, std::size_t n, float* dst) {
+#ifdef __SSE__
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) _mm_storeu_ps(dst + i, _mm_loadu_ps(src + i));
+  switch (n - i) {
+    case 3: dst[i + 2] = src[i + 2]; [[fallthrough]];
+    case 2: dst[i + 1] = src[i + 1]; [[fallthrough]];
+    case 1: dst[i] = src[i]; break;
+    default: break;
+  }
+#else
+  std::copy_n(src, n, dst);
+#endif
+}
+
+/// dst[i] += src[i] for i < n, four lanes at a time (each lane is one add,
+/// so the bits match the scalar loop).
+inline void add_row(const float* src, std::size_t n, float* dst) {
+  std::size_t i = 0;
+#ifdef __SSE__
+  for (; i + 4 <= n; i += 4) {
+    _mm_storeu_ps(dst + i, _mm_add_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i)));
+  }
+#endif
+  for (; i < n; ++i) dst[i] += src[i];
 }
 
 }  // namespace
@@ -218,8 +253,35 @@ void transpose(const Tensor& in, Tensor& out) {
   require(in.rank() == 2 && out.rank() == 2, "transpose: rank != 2");
   const std::size_t m = in.dim(0), n = in.dim(1);
   require(out.dim(0) == n && out.dim(1) == m, "transpose: bad output shape");
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) out[j * m + i] = in[i * n + j];
+  transpose_block(in.raw(), n, m, n, out.raw(), m);
+}
+
+void transpose_block(const float* in, std::size_t in_stride, std::size_t rows,
+                     std::size_t cols, float* out, std::size_t out_stride) {
+  std::size_t i = 0;
+#ifdef __SSE__
+  for (; i + 4 <= rows; i += 4) {
+    const float* src = in + i * in_stride;
+    std::size_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      __m128 r0 = _mm_loadu_ps(src + j);
+      __m128 r1 = _mm_loadu_ps(src + in_stride + j);
+      __m128 r2 = _mm_loadu_ps(src + 2 * in_stride + j);
+      __m128 r3 = _mm_loadu_ps(src + 3 * in_stride + j);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      float* dst = out + j * out_stride + i;
+      _mm_storeu_ps(dst, r0);
+      _mm_storeu_ps(dst + out_stride, r1);
+      _mm_storeu_ps(dst + 2 * out_stride, r2);
+      _mm_storeu_ps(dst + 3 * out_stride, r3);
+    }
+    for (; j < cols; ++j) {
+      for (std::size_t r = 0; r < 4; ++r) out[j * out_stride + i + r] = src[r * in_stride + j];
+    }
+  }
+#endif
+  for (; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) out[j * out_stride + i] = in[i * in_stride + j];
   }
 }
 
@@ -277,7 +339,9 @@ void im2col_batch_sample(std::span<const float> image, const Conv2dGeometry& g,
   require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
               columns.dim(1) == batch_n * spatial,
           "im2col_batch_sample: bad columns shape");
-  im2col_into(image, g, columns.raw(), batch_n * spatial, sample * spatial);
+  std::vector<float> padded(padded_size(g));
+  pad_image(image, g, padded.data());
+  unfold_padded(padded.data(), g, columns.raw() + sample * spatial, batch_n * spatial);
 }
 
 void im2col_batch(const Tensor& batch, const Conv2dGeometry& g, Tensor& columns) {
@@ -300,7 +364,89 @@ void col2im_batch_sample(const Tensor& columns, const Conv2dGeometry& g,
   require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
               columns.dim(1) == batch_n * spatial,
           "col2im_batch_sample: bad columns shape");
-  col2im_from(columns.raw(), g, image, batch_n * spatial, sample * spatial);
+  std::vector<float> padded(padded_size(g));
+  fold_padded(columns.raw() + sample * spatial, batch_n * spatial, g, padded.data());
+  std::vector<float> folded(image.size());
+  crop_image(padded.data(), g, folded);
+  for (std::size_t i = 0; i < image.size(); ++i) image[i] += folded[i];
+}
+
+// --- branch-free unfold / fold ----------------------------------------------
+
+std::size_t padded_size(const Conv2dGeometry& g) noexcept {
+  return g.in_channels * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
+}
+
+void pad_image(std::span<const float> image, const Conv2dGeometry& g, float* padded) {
+  const std::size_t wp = g.in_w + 2 * g.pad;
+  std::fill_n(padded, padded_size(g), 0.0f);
+  const float* src = image.data();
+  float* dst = padded + g.pad * wp + g.pad;
+  for (std::size_t c = 0; c < g.in_channels; ++c, dst += 2 * g.pad * wp) {
+    for (std::size_t y = 0; y < g.in_h; ++y, src += g.in_w, dst += wp) {
+      copy_row(src, g.in_w, dst);
+    }
+  }
+}
+
+void unfold_padded(const float* padded, const Conv2dGeometry& g, float* columns,
+                   std::size_t row_stride) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
+  const std::size_t st = g.stride;
+  float* dst = columns;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = padded + c * hp * wp;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, dst += row_stride) {
+        const float* src = plane + ky * wp + kx;
+        float* out = dst;
+        for (std::size_t oy = 0; oy < oh; ++oy, src += st * wp, out += ow) {
+          if (st == 1) {
+            copy_row(src, ow, out);
+          } else {
+            for (std::size_t ox = 0; ox < ow; ++ox) out[ox] = src[ox * st];
+          }
+        }
+      }
+    }
+  }
+}
+
+void fold_padded(const float* columns, std::size_t row_stride, const Conv2dGeometry& g,
+                 float* padded) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
+  const std::size_t st = g.stride;
+  std::fill_n(padded, g.in_channels * hp * wp, 0.0f);
+  const float* row = columns;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    float* plane = padded + c * hp * wp;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, row += row_stride) {
+        const float* src = row;
+        float* dst = plane + ky * wp + kx;
+        for (std::size_t oy = 0; oy < oh; ++oy, src += ow, dst += st * wp) {
+          if (st == 1) {
+            add_row(src, ow, dst);
+          } else {
+            for (std::size_t ox = 0; ox < ow; ++ox) dst[ox * st] += src[ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+void crop_image(const float* padded, const Conv2dGeometry& g, std::span<float> image) {
+  const std::size_t wp = g.in_w + 2 * g.pad;
+  const float* src = padded + g.pad * wp + g.pad;
+  float* dst = image.data();
+  for (std::size_t c = 0; c < g.in_channels; ++c, src += 2 * g.pad * wp) {
+    for (std::size_t y = 0; y < g.in_h; ++y, src += wp, dst += g.in_w) {
+      copy_row(src, g.in_w, dst);
+    }
+  }
 }
 
 }  // namespace fedsched::tensor::ops

@@ -74,6 +74,16 @@ void Tensor::reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
+void Tensor::resize(std::initializer_list<std::size_t> shape) {
+  shape_.assign(shape);
+  data_.resize(shape_numel(shape_));
+}
+
+void Tensor::resize(const Shape& shape) {
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(shape_numel(shape_));
+}
+
 void Tensor::fill(float value) noexcept {
   for (float& x : data_) x = value;
 }

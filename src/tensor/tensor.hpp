@@ -55,6 +55,14 @@ class Tensor {
   /// Reinterpret the shape; numel must be preserved.
   void reshape(Shape shape);
 
+  /// Take on `shape`, reusing the storage: no allocation while the new numel
+  /// fits the capacity any earlier shape reached (a ragged tail batch and the
+  /// full batch after it share one buffer). Elements that remain keep their
+  /// values and grown ones are zero, so callers that need defined contents
+  /// overwrite them. The layers size their owned outputs with it.
+  void resize(std::initializer_list<std::size_t> shape);
+  void resize(const Shape& shape);
+
   void fill(float value) noexcept;
   void zero() noexcept { fill(0.0f); }
 

@@ -221,6 +221,28 @@ TEST_F(CoordService, MultiplexedRunsMatchSoloRunsByteForByte) {
   }
 }
 
+TEST_F(CoordService, OperationsTraceIsOnDiskWhileRunning) {
+  // The operations trace is flushed per event: a reader (or a crash) sees
+  // the submit and the run's dispatches while the coordinator still runs.
+  CoordinatorConfig cfg = config(root("live"));
+  cfg.trace_path = root("ops_live.jsonl");
+  Coordinator coordinator(cfg);
+  ASSERT_TRUE(coordinator.submit(train_spec("t1", 5)).accepted);
+  coordinator.wait_all_done();
+  ASSERT_EQ(coordinator.status("t1")->status, RunStatus::kDone);
+
+  std::istringstream ops(read_file(cfg.trace_path, "test: ops trace"));
+  std::size_t admits = 0, dispatches = 0;
+  for (std::string line; std::getline(ops, line);) {
+    const common::JsonValue ev = common::json_parse(line);
+    if (ev.get_string("id", "") != "t1") continue;
+    admits += ev.get_string("ev", "") == "coord_admit";
+    dispatches += ev.get_string("ev", "") == "coord_round_dispatch";
+  }
+  EXPECT_EQ(admits, 1u);
+  EXPECT_EQ(dispatches, 2u);
+}
+
 TEST_F(CoordService, TrainRunMatchesLibraryOneShot) {
   Coordinator coordinator(config(root("svc")));
   const RunSpec spec = train_spec("t1", 9);

@@ -224,9 +224,9 @@ TEST(Conv2d, CachedColumnsMatchRecomputedBackward) {
 
 TEST(Conv2d, EvalForwardInvalidatesColumnCache) {
   // An eval-mode forward between train forward and backward overwrites the
-  // column scratch with the eval batch; the cache flag must be cleared so
-  // backward re-unfolds the cached training input rather than using stale
-  // (wrong-batch) columns.
+  // forward column scratch with the eval batch; backward must still use the
+  // training batch's columns (the k-major copy only a training forward
+  // writes), never the eval batch's.
   common::Rng rng(15);
   const Tensor x_train = Tensor::randn({3, 1 * 5 * 5}, rng);
   const Tensor x_eval = Tensor::randn({3, 1 * 5 * 5}, rng);
@@ -247,6 +247,19 @@ TEST(Conv2d, EvalForwardInvalidatesColumnCache) {
   for (std::size_t i = 0; i < clean.size(); ++i) {
     ASSERT_EQ(clean[i], interleaved[i]) << "dW element " << i;
   }
+}
+
+TEST(Conv2d, DroppedColumnsNeedTheTrainingBatch) {
+  // With its columns dropped, backward re-unfolds the training batch's
+  // padded copy; once an eval forward has overwritten that copy there is
+  // nothing correct to re-unfold, so backward must refuse instead of using
+  // the eval batch.
+  common::Rng rng(19);
+  Conv2d layer(geom(1, 5, 3, 1), 2, rng);
+  const Tensor out = layer.forward(Tensor::randn({3, 25}, rng), /*train=*/true);
+  (void)layer.forward(Tensor::randn({3, 25}, rng), /*train=*/false);
+  layer.drop_column_cache();
+  EXPECT_THROW((void)layer.backward(objective_grad(out)), std::logic_error);
 }
 
 TEST(Conv2d, ReferencePolicyMatchesBlockedForwardBackward) {

@@ -279,6 +279,71 @@ TEST(GemmDifferential, WorkspaceReuseDoesNotChangeBits) {
   }
 }
 
+TEST(GemmDifferential, ConvBackwardProductsMatchGatheredDyBitwise) {
+  // gemm_conv_dw / gemm_conv_dx read dY in its [N, out_c, spatial] batch
+  // layout; they must produce exactly the bits of gemm() on dY gathered into
+  // [out_c, N * spatial] — including dW past kKc (conv1 shapes), whose
+  // ragged strip sums per k block, and dW read from k-major rows padded to
+  // whole strips, whose ragged strip is then read in place.
+  struct Case {
+    std::size_t n, out_c, patch, spatial;
+  };
+  const std::vector<Case> cases = {
+      {20, 6, 9, 144},   // LeNet conv1: k = 2880, every column in the ragged strip
+      {10, 6, 9, 144},   // its ragged tail batch
+      {20, 12, 54, 36},  // LeNet conv2: spatial not a multiple of kNr
+      {20, 8, 27, 256},  // VGG6 conv1: k = 5120
+      {20, 16, 144, 64},  // VGG6 conv4: pooled dX panels
+      {3, 5, 16, 7},      // whole strips only
+      {1, 1, 1, 1},
+  };
+  common::Rng rng(41);
+  common::ThreadPool pool(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n << " out_c=" << c.out_c
+                                      << " patch=" << c.patch << " spatial=" << c.spatial);
+    const std::size_t ns = c.n * c.spatial;
+    const Tensor dy = Tensor::randn({c.n, c.out_c * c.spatial}, rng);
+    Tensor gathered({c.out_c, ns});
+    for (std::size_t s = 0; s < c.n; ++s) {
+      for (std::size_t ch = 0; ch < c.out_c; ++ch) {
+        for (std::size_t p = 0; p < c.spatial; ++p) {
+          gathered[ch * ns + s * c.spatial + p] =
+              dy[s * c.out_c * c.spatial + ch * c.spatial + p];
+        }
+      }
+    }
+    const Tensor cols = Tensor::randn({c.patch, ns}, rng);
+    const Tensor weight = Tensor::randn({c.out_c, c.patch}, rng);
+
+    // dW = dY cols^T: the old NT product on the gathered dY.
+    std::vector<float> dw_ref(c.out_c * c.patch);
+    gemm::gemm(c.out_c, c.patch, ns, gathered.raw(), ns, 1, cols.raw(), 1, ns,
+               dw_ref.data(), nullptr, &pool);
+    for (const std::size_t ldb : {c.patch, gemm::kmajor_stride(c.patch)}) {
+      std::vector<float> kmajor(ns * ldb, 0.0f);
+      transpose_block(cols.raw(), ns, c.patch, ns, kmajor.data(), ldb);
+      std::vector<float> dw(c.out_c * c.patch);
+      gemm::gemm_conv_dw(c.out_c, c.patch, ns, dy.raw(), c.spatial, kmajor.data(), ldb,
+                         dw.data(), nullptr, &pool);
+      ASSERT_EQ(std::memcmp(dw.data(), dw_ref.data(), dw.size() * sizeof(float)), 0)
+          << "dW, ldb=" << ldb;
+    }
+
+    // dX columns = W^T dY: the old TN product on the gathered dY, serial and
+    // pooled.
+    std::vector<float> dx_ref(c.patch * ns), dx(c.patch * ns);
+    gemm::gemm(c.patch, ns, c.out_c, weight.raw(), 1, c.patch, gathered.raw(), ns, 1,
+               dx_ref.data(), nullptr, nullptr);
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      gemm::gemm_conv_dx(c.patch, ns, c.out_c, weight.raw(), dy.raw(), c.spatial,
+                         dx.data(), nullptr, p);
+      ASSERT_EQ(std::memcmp(dx.data(), dx_ref.data(), dx.size() * sizeof(float)), 0)
+          << "dX columns";
+    }
+  }
+}
+
 TEST(GemmDifferential, ZeroSizedEdges) {
   // k = 0 must produce an all-zero product (empty sum), not garbage.
   const Tensor a({2, 0});

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -165,6 +168,76 @@ TEST_P(ConvGeometries, BatchAndPerSampleUnfoldAgreeBitwise) {
         ASSERT_EQ(cols_batch.at({r, s * spatial + p}), cols_one.at({r, p}));
       }
     }
+  }
+}
+
+TEST_P(ConvGeometries, PaddedUnfoldMatchesIm2colBitwise) {
+  // The branch-free unfold (zero-bordered copy, fixed-width row runs) must
+  // reproduce the bounds-tested reference unfold bit for bit, and its
+  // transpose the k-major layout, including the +0 of every border read.
+  const ConvCase c = GetParam();
+  Conv2dGeometry g;
+  g.in_channels = c.channels;
+  g.in_h = g.in_w = c.hw;
+  g.kernel = c.kernel;
+  g.pad = c.pad;
+  g.stride = c.stride;
+  const std::size_t features = g.in_channels * g.in_h * g.in_w;
+  const std::size_t spatial = g.out_h() * g.out_w();
+  const std::size_t patch = g.patch_size();
+
+  common::Rng rng(c.channels * 31 + c.hw * 7 + c.kernel * 3 + c.pad + c.stride);
+  Tensor x = Tensor::randn({1, features}, rng);
+  x[0] = -0.0f;  // a signed zero must travel unchanged
+  Tensor reference({patch, spatial});
+  im2col(x.data(), g, reference);
+
+  std::vector<float> padded(padded_size(g), 7.0f);  // every cell gets written
+  pad_image(x.data(), g, padded.data());
+  Tensor columns({patch, spatial});
+  unfold_padded(padded.data(), g, columns.raw(), spatial);
+  std::vector<float> kmajor(spatial * patch);
+  transpose_block(columns.raw(), spatial, patch, spatial, kmajor.data(), patch);
+  for (std::size_t r = 0; r < patch; ++r) {
+    for (std::size_t q = 0; q < spatial; ++q) {
+      const auto want = std::bit_cast<std::uint32_t>(reference[r * spatial + q]);
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(columns[r * spatial + q]), want)
+          << "row " << r << " pixel " << q;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(kmajor[q * patch + r]), want)
+          << "k-major row " << q << " column " << r;
+    }
+  }
+}
+
+TEST_P(ConvGeometries, PaddedFoldMatchesCol2imBitwise) {
+  // The branch-free fold adds into a zero-bordered image in col2im's order,
+  // so it must equal col2im into a zero image bit for bit — signed zeros and
+  // exact cancellations included.
+  const ConvCase c = GetParam();
+  Conv2dGeometry g;
+  g.in_channels = c.channels;
+  g.in_h = g.in_w = c.hw;
+  g.kernel = c.kernel;
+  g.pad = c.pad;
+  g.stride = c.stride;
+  const std::size_t features = g.in_channels * g.in_h * g.in_w;
+  const std::size_t spatial = g.out_h() * g.out_w();
+
+  common::Rng rng(c.channels * 17 + c.hw * 5 + c.kernel + c.pad * 11 + c.stride);
+  Tensor columns = Tensor::randn({g.patch_size(), spatial}, rng);
+  for (std::size_t i = 0; i < columns.numel(); i += 5) columns[i] = -0.0f;
+  for (std::size_t i = 1; i + 1 < columns.numel(); i += 7) columns[i + 1] = -columns[i];
+
+  std::vector<float> reference(features, 0.0f);
+  col2im(columns, g, reference);
+  std::vector<float> padded(padded_size(g), 7.0f);  // fold_padded zeroes it
+  fold_padded(columns.raw(), spatial, g, padded.data());
+  std::vector<float> folded(features, 7.0f);
+  crop_image(padded.data(), g, folded);
+  for (std::size_t i = 0; i < features; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(folded[i]),
+              std::bit_cast<std::uint32_t>(reference[i]))
+        << "pixel " << i;
   }
 }
 
