@@ -9,8 +9,7 @@
 // bytes identical to the same spec driven through `fedsched_cli train
 // --checkpoint-every 1` / `fedsched_cli fleet` — the coordinator's
 // byte-identity contract (docs/API.md "Coordinator service"). The async and
-// gossip runners are not yet spec-addressable; they remain one-shot CLI/
-// library runs until a later protocol version.
+// gossip runners are ablation baselines (bench/ablation_*), not run kinds.
 //
 // parse_run_spec validates field kinds and ranges and throws on anything
 // malformed — a rejected spec never touches coordinator state.

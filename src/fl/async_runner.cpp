@@ -1,13 +1,12 @@
 #include "fl/async_runner.hpp"
 
 #include <cmath>
-#include <optional>
+#include <functional>
+#include <future>
 #include <queue>
 #include <stdexcept>
 #include <utility>
 
-#include "device/battery.hpp"
-#include "fl/report.hpp"
 #include "fl/trainer.hpp"
 
 namespace fedsched::fl {
@@ -50,129 +49,31 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
   std::vector<nn::Sgd> optimizers(n, nn::Sgd(config_.sgd));
   common::Rng rng(config_.seed ^ 0xA5A5A5A5ULL);
 
-  // Event = a client finishing (or abandoning) a round trip at a simulated
-  // instant. The comparator orders by time only, as before faults existed.
+  // Event = a client finishing a round trip at a simulated instant.
   struct Event {
     double time_s;
     std::size_t client;
-    bool ok = true;            // trip produced a mergeable update
-    std::size_t retries = 0;   // upload retries charged to this trip
-    bool killed = false;       // battery died during this trip (permanent)
-    FaultKind kind = FaultKind::kNone;  // the trip's fault verdict
-    double soc = -1.0;         // state of charge after the trip (< 0 untracked)
-    std::size_t owner = 0;     // whose share the trip trained (hedge: != client)
     bool operator>(const Event& other) const { return time_s > other.time_s; }
   };
 
-  AsyncRunResult result;
-
-  // Self-healing for the async loop: per-trip health tracking. There are no
-  // rounds, so probation is served as a simulated-time wait before the
-  // client's next pull; blacklisted clients stop re-pulling entirely. All
-  // folds happen in phase 1 (serial), so the determinism contract holds.
-  // Hedge trips need risk scores, so replication implies the tracker.
-  const bool hedging = config_.replicate.enabled();
-  std::optional<health::HealthTracker> tracker;
-  if (config_.health_enabled || hedging) tracker.emplace(config_.health, n);
-  std::optional<replication::ReplicationPlanner> hedger;
-  if (hedging) hedger.emplace(config_.replicate, n);
-
-  // Observability: phase 1 below is serial whatever the parallelism knob
-  // says, and phase 2 merges apply in timeline order, so every event stream
-  // is byte-identical at every width.
-  obs::TraceWriter null_trace;
-  obs::TraceWriter& trace = config_.trace ? *config_.trace : null_trace;
-  if (trace.enabled()) {
-    common::JsonObject ev;
-    ev.field("ev", "run_start")
-        .field("runner", "async")
-        .field("clients", n)
-        .field("horizon_s", config_.horizon_seconds)
-        .field("seed", config_.seed)
-        .field("deadline_s", config_.deadline_s)
-        .field("faults", config_.faults.enabled);
-    trace.write(ev);
-  }
-
   // Phase 1 — simulate the merge timeline. Round-trip durations come from
-  // the device simulators and the fault injector alone (they never depend on
-  // trained parameters), so the full order of merges is known before any
-  // training happens. That order is what makes the parallel phase
-  // deterministic: merges are applied in timeline order no matter when their
-  // training finishes. Failed trips burn the client's clock but never merge.
+  // the device simulators alone (they never depend on trained parameters),
+  // so the full order of merges is known before any training happens. That
+  // order is what makes the parallel phase deterministic: merges are applied
+  // in timeline order no matter when their training finishes.
   std::vector<Event> merges;
   {
     std::vector<device::Device> devices;
     devices.reserve(n);
     for (device::PhoneModel phone : phones_) devices.emplace_back(phone, network_);
 
-    const FaultInjector injector(config_.faults, config_.seed);
-    const double deadline = config_.deadline_s;
-    std::vector<device::Battery> batteries;
-    if (injector.battery_enabled()) {
-      batteries.reserve(n);
-      for (std::size_t u = 0; u < n; ++u) {
-        batteries.emplace_back(device::battery_of(phones_[u]), injector.initial_soc(u));
-      }
-    }
-    std::vector<std::size_t> trips(n, 0);
-
-    // One round trip of client u launched at `start_s`; the trip counter is
-    // the injector's stream index, so draws are stable per (client, trip).
-    // A hedge trip (`owner` != u) trains the hedged client's share on u's
-    // device — same stream, same hazards, just the other share's compute.
-    auto attempt = [&](std::size_t u, double start_s, std::size_t owner) -> Event {
-      const auto& link = device::link_of(network_);
-      RoundTimings timings;
-      timings.download_s = device::download_seconds(link, device_model_.size_mb);
-      timings.upload_s = device::upload_seconds(link, device_model_.size_mb);
-      timings.baseline_s = devices[u].comm_seconds(device_model_);
-      timings.compute_s =
-          devices[u].train(device_model_, partition.user_indices[owner].size());
-      timings.baseline_s += timings.compute_s;
-
-      const std::size_t trip = trips[u]++;
-      FaultOutcome out = injector.evaluate(trip, u, timings, deadline);
-      Event event{.time_s = 0.0,
-                  .client = u,
-                  .ok = out.completed,
-                  .retries = out.retries,
-                  .killed = false,
-                  .owner = owner};
-      // A deadline-missed trip is abandoned at the deadline mark; every
-      // other outcome (battery death included) occupies the client for its
-      // full elapsed time.
-      const double consumed =
-          out.kind == FaultKind::kDeadlineMiss ? deadline : out.elapsed_s;
-      if (injector.battery_enabled()) {
-        batteries[u].drain(round_energy_wh(device::spec_of(phones_[u]), device_model_,
-                                           timings.compute_s, network_,
-                                           out.comm_scale));
-        if (batteries[u].dead(config_.faults.battery_floor_soc)) {
-          event.ok = false;
-          event.killed = true;
-          out.completed = false;
-          out.kind = FaultKind::kBatteryDead;
-        }
-      }
-      event.time_s = start_s + consumed;
-      event.kind = out.kind;
-      if (injector.battery_enabled()) event.soc = batteries[u].state_of_charge();
-
-      if (trace.enabled()) {
-        trace_client_trip(trace, trip, u, timings, out);
-        const device::TracePoint point{
-            .time_s = devices[u].clock_s(),
-            .temp_c = devices[u].temperature_c(),
-            .speed = devices[u].speed_factor(),
-            .freq_ghz = devices[u].speed_factor() *
-                        device::max_cpu_ghz(devices[u].spec())};
-        trace_device_snapshot(trace, trip, u, point,
-                              injector.battery_enabled()
-                                  ? batteries[u].state_of_charge()
-                                  : -1.0);
-      }
-      return event;
+    // One round trip of client u launched at `start_s`: download, one local
+    // epoch on the device, upload.
+    auto trip = [&](std::size_t u, double start_s) -> Event {
+      const double comm_s = devices[u].comm_seconds(device_model_);
+      const double busy_s =
+          comm_s + devices[u].train(device_model_, partition.user_indices[u].size());
+      return {start_s + busy_s, u};
     };
 
     std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
@@ -180,120 +81,18 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
     for (std::size_t u = 0; u < n; ++u) {
       if (partition.user_indices[u].empty()) continue;
       any_data = true;
-      if (injector.battery_enabled() &&
-          batteries[u].dead(config_.faults.battery_floor_soc)) {
-        ++result.battery_deaths;  // dead on arrival: never participates
-        if (tracker) {
-          (void)tracker->observe_trip(
-              u, {.participated = true,
-                  .fault = FaultKind::kBatteryDead,
-                  .soc = batteries[u].state_of_charge()});
-        }
-        continue;
-      }
-      queue.push(attempt(u, 0.0, u));
+      queue.push(trip(u, 0.0));
     }
     if (!any_data) throw std::invalid_argument("AsyncRunner::run: empty partition");
-
-    // Shares waiting for a hedge trip, oldest first; capped at the replica
-    // budget so a dying client cannot monopolize the fleet.
-    std::vector<std::size_t> hedge_queue;
-
-    // A failed trip of a flagged at-risk client queues its share for one
-    // hedge trip by the next free healthy host (oldest share first). All of
-    // this runs in the serial timeline loop, so the hedge schedule is a pure
-    // function of the simulated history.
-    auto enqueue_hedge = [&](std::size_t owner) {
-      if (!hedging || partition.user_indices[owner].empty()) return;
-      if (hedge_queue.size() >= config_.replicate.budget_per_round) return;
-      for (std::size_t w : hedge_queue) {
-        if (w == owner) return;  // one outstanding hedge per share
-      }
-      if (hedger->risk_score(*tracker, owner) < config_.replicate.risk_threshold) {
-        return;
-      }
-      hedge_queue.push_back(owner);
-    };
 
     while (!queue.empty() && queue.top().time_s <= config_.horizon_seconds) {
       const Event event = queue.top();
       queue.pop();
-      if (event.ok) {
-        merges.push_back(event);
-        if (event.owner != event.client) ++result.replica_merges;
-      } else {
-        ++result.dropped_updates;
-      }
-      result.retry_count += event.retries;
-      if (event.killed) {
-        ++result.battery_deaths;
-        if (tracker) {
-          (void)tracker->observe_trip(event.client,
-                                      {.participated = true,
-                                       .fault = FaultKind::kBatteryDead,
-                                       .soc = event.soc});
-        }
-        // One hedge may still save the dead client's share (the last update
-        // it will ever contribute).
-        if (event.owner == event.client) enqueue_hedge(event.client);
-        continue;  // permanently out of the fleet
-      }
-      double wait_s = 0.0;
-      if (tracker) {
-        wait_s = tracker->observe_trip(event.client,
-                                       {.participated = true,
-                                        .measured_s = 0.0,
-                                        .fault = event.kind,
-                                        .completed = event.ok,
-                                        .retries = event.retries,
-                                        .soc = event.soc});
-        // Hedge only a client's own failed trip (a failed hedge trip is
-        // spent, not requeued), after the failure has been folded into its
-        // risk score.
-        if (!event.ok && event.owner == event.client) enqueue_hedge(event.client);
-        if (wait_s < 0.0) continue;  // blacklisted: stops re-pulling
-        if (wait_s > 0.0) {
-          result.probation_wait_seconds += wait_s;
-          if (trace.enabled()) {
-            common::JsonObject ev;
-            ev.field("ev", "probation")
-                .field("time_s", event.time_s)
-                .field("client", event.client)
-                .field("wait_s", wait_s);
-            trace.write(ev);
-          }
-        }
-      }
-      // Client pulls the fresh model and starts its next round — after any
-      // probation backoff the health tracker imposed. A healthy, unflagged
-      // host drains the hedge queue first: one trip on the hedged share,
-      // then back to its own loop.
-      std::size_t next_owner = event.client;
-      if (hedging && !hedge_queue.empty() && tracker->eligible(event.client) &&
-          hedger->risk_score(*tracker, event.client) <
-              config_.replicate.risk_threshold) {
-        for (auto it = hedge_queue.begin(); it != hedge_queue.end(); ++it) {
-          if (*it == event.client) continue;  // never hedge your own share
-          next_owner = *it;
-          hedge_queue.erase(it);
-          break;
-        }
-      }
-      if (next_owner != event.client) {
-        ++result.replica_trips;
-        if (trace.enabled()) {
-          common::JsonObject ev;
-          ev.field("ev", "hedge")
-              .field("time_s", event.time_s + wait_s)
-              .field("owner", next_owner)
-              .field("host", event.client);
-          trace.write(ev);
-        }
-      }
-      queue.push(attempt(event.client, event.time_s + wait_s, next_owner));
+      merges.push_back(event);
+      // The client pulls the fresh model and starts its next round trip.
+      queue.push(trip(event.client, event.time_s));
     }
   }
-  if (tracker) result.client_health = tracker->all();
 
   // Per-client chain of merge indices: training for merge k may start as
   // soon as the client's previous merge was applied.
@@ -313,6 +112,7 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
     }
   }
 
+  AsyncRunResult result;
   std::vector<float> global_params = global_.flat_params();
 
   // Phase 2 — pipelined training. A client trains from the parameters it
@@ -326,16 +126,12 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
   std::vector<std::future<void>> pending(n_merges);
   auto launch = [&](std::size_t k, std::vector<float> pulled) {
     const std::size_t u = merges[k].client;
-    // A hedge trip trains the hedged client's share with the host's
-    // optimizer state — chains are keyed by host, so each optimizer is still
-    // touched by exactly one in-flight task.
-    const std::size_t o = merges[k].owner;
     common::Rng client_rng = rng.fork(k + 1);
     pending[k] = executor_.submit(
-        [this, &partition, &optimizers, &locals, k, u, o, client_rng,
+        [this, &partition, &optimizers, &locals, k, u, client_rng,
          pulled = std::move(pulled)](nn::Model& worker) mutable {
           worker.set_flat_params(pulled);
-          (void)train_epoch(worker, optimizers[u], train_, partition.user_indices[o],
+          (void)train_epoch(worker, optimizers[u], train_, partition.user_indices[u],
                             config_.batch_size, client_rng);
           locals[k] = worker.flat_params();
         });
@@ -357,45 +153,15 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
       global_params[i] = static_cast<float>((1.0 - mix) * global_params[i] +
                                             mix * local[i]);
     }
-    result.updates.push_back({merges[k].time_s, u, staleness, mix, merges[k].owner});
+    result.updates.push_back({merges[k].time_s, u, staleness, mix});
     result.elapsed_seconds = merges[k].time_s;
     base_version[u] = k + 1;
-
-    if (trace.enabled()) {
-      common::JsonObject ev;
-      ev.field("ev", "merge")
-          .field("time_s", merges[k].time_s)
-          .field("client", u)
-          .field("staleness", staleness)
-          .field("mix", mix);
-      // Only hedge merges carry the extra field, so replication-off traces
-      // stay byte-identical.
-      if (merges[k].owner != u) ev.field("owner", merges[k].owner);
-      trace.write(ev);
-    }
 
     if (next_merge[k] < n_merges) launch(next_merge[k], global_params);
   }
 
   global_.set_flat_params(global_params);
   result.final_accuracy = global_.accuracy(test_.images(), test_.labels());
-  if (trace.enabled()) {
-    common::JsonObject ev;
-    ev.field("ev", "run_end")
-        .field("final_accuracy", result.final_accuracy)
-        .field("total_seconds", result.elapsed_seconds)
-        .field("merged", result.updates.size())
-        .field("dropped", result.dropped_updates)
-        .field("retries", result.retry_count)
-        .field("battery_deaths", result.battery_deaths);
-    if (result.replica_trips > 0) {
-      ev.field("replica_trips", result.replica_trips)
-          .field("replica_merges", result.replica_merges);
-    }
-    trace.write(ev);
-    trace.flush();
-  }
-  if (config_.metrics) record_run_metrics(*config_.metrics, result);
   return result;
 }
 

@@ -10,10 +10,18 @@
 // server merges each arriving update immediately with a mixing weight damped
 // by the update's staleness (how many merges happened since the client
 // pulled its base model), in the spirit of stale-synchronous / async-SGD
-// servers [11], [12].
+// servers [11], [12]. Like the gossip runner it models no faults, deadlines,
+// batteries or health and emits no trace.
 
+#include <cstdint>
+#include <vector>
+
+#include "data/dataset.hpp"
 #include "data/partition.hpp"
-#include "fl/runner.hpp"
+#include "device/device.hpp"
+#include "fl/parallel.hpp"
+#include "nn/models.hpp"
+#include "nn/sgd.hpp"
 
 namespace fedsched::fl {
 
@@ -31,55 +39,19 @@ struct AsyncConfig {
   /// concurrency, 1 = serial legacy path. Results are identical for every
   /// value — the merge order is fixed by the simulated timeline.
   std::size_t parallelism = 0;
-  /// Per-update deadline (simulated seconds): a round trip still in flight
-  /// after this long is abandoned and the client re-pulls. Infinity = none.
-  double deadline_s = kNoDeadline;
-  /// Fault injection; failed trips burn simulated time but never merge.
-  FaultConfig faults;
-  /// Observability sinks (non-owning; may be null) — see FlConfig.
-  obs::TraceWriter* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Self-healing for the async loop: per-trip health tracking with
-  /// probation served as simulated-time backoff waits before the next pull,
-  /// and permanent exclusion of blacklisted/dead clients. There are no
-  /// rounds, so no shard replanning — see docs/API.md "Self-healing rounds".
-  bool health_enabled = false;
-  health::HealthConfig health;
-  /// Speculative replication, async flavour ("hedge trips"): when a flagged
-  /// at-risk client's trip fails, its share is queued and the next healthy
-  /// host to come free runs one extra trip on that share before resuming its
-  /// own loop. Enabling this implies per-trip health tracking (risk scores
-  /// need it). Off = bit-identical to replication-free async runs.
-  replication::ReplicationConfig replicate;
 };
 
 struct AsyncUpdateRecord {
   double time_s = 0.0;       // simulated arrival time
-  std::size_t client = 0;    // the device that ran the trip (the host)
+  std::size_t client = 0;
   std::size_t staleness = 0; // merges since the client pulled its base model
   double mix_weight = 0.0;
-  /// Whose share the update trained: == client for ordinary trips, the
-  /// hedged client for replica ("hedge") trips.
-  std::size_t owner = 0;
 };
 
 struct AsyncRunResult {
   std::vector<AsyncUpdateRecord> updates;
   double final_accuracy = 0.0;
   double elapsed_seconds = 0.0;
-  /// Fault bookkeeping: trips that burned simulated time but never merged,
-  /// upload retries charged to client clocks, and permanent battery deaths.
-  std::size_t dropped_updates = 0;
-  std::size_t retry_count = 0;
-  std::size_t battery_deaths = 0;
-  /// Final per-client health state (empty when health tracking is off) and
-  /// the total simulated seconds clients spent waiting out probations.
-  std::vector<health::ClientHealth> client_health;
-  double probation_wait_seconds = 0.0;
-  /// Hedge-trip bookkeeping (zero when replication is off): replica trips
-  /// launched and the subset that merged an update for the hedged share.
-  std::size_t replica_trips = 0;
-  std::size_t replica_merges = 0;
 
   [[nodiscard]] double mean_staleness() const;
   [[nodiscard]] std::size_t updates_from(std::size_t client) const;

@@ -87,7 +87,7 @@ inline constexpr std::size_t kFaultKindCount =
 /// and retries.
 struct RoundTimings {
   double baseline_s = 0.0;
-  double download_s = 0.0;  // all downloads of the round (gossip: degree x)
+  double download_s = 0.0;  // all downloads of the round
   double compute_s = 0.0;
   double upload_s = 0.0;    // one upload attempt
 };
@@ -117,8 +117,7 @@ class FaultInjector {
   [[nodiscard]] double initial_soc(std::size_t client) const;
 
   /// Fold the hazards into a fault-free round timing and apply the round
-  /// deadline. Pure function of its arguments — safe from any lane. The
-  /// async runner passes its per-client trip counter as `round`.
+  /// deadline. Pure function of its arguments — safe from any lane.
   [[nodiscard]] FaultOutcome evaluate(std::size_t round, std::size_t client,
                                       const RoundTimings& timings,
                                       double deadline_s) const;

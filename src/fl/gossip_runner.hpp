@@ -9,6 +9,10 @@
 // ring; exact FedAvg when the graph is complete). Round time is still the
 // synchronous makespan: neighbors exchange models peer-to-peer, so each
 // client pays one upload and degree downloads of the model.
+//
+// This is the topology baseline of bench/ablation_topology: it models no
+// faults, deadlines, batteries, rescheduling or replication and emits no
+// trace — FedAvgRunner carries those.
 
 #include "data/partition.hpp"
 #include "fl/runner.hpp"
@@ -35,27 +39,11 @@ struct GossipConfig {
   /// Host threads training clients concurrently: 0 = hardware concurrency,
   /// 1 = serial legacy path. Results are identical for every value.
   std::size_t parallelism = 0;
-  /// Round deadline (simulated seconds): clients that miss it are excluded
-  /// from this round's mixing. Infinity = wait for everyone.
-  double deadline_s = kNoDeadline;
-  /// Fault injection; a dropped client neither shares its update nor mixes
-  /// its neighbors' — it keeps its pre-round parameters.
-  FaultConfig faults;
-  /// Observability sinks (non-owning; may be null) — see FlConfig.
-  obs::TraceWriter* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Self-healing: health tracking + online rescheduling (fl/health). There
-  /// is no server, so think of this as the fleet's shared membership view.
-  /// Checkpointing is not supported for gossip runs.
-  health::ReschedulePlan reschedule;
-  /// Speculative shard replication (fl/replication): a healthy neighbor
-  /// re-trains an at-risk peer's share so the fleet still mixes that share's
-  /// update when the peer drops. Off = bit-identical to replication-free
-  /// gossip runs.
-  replication::ReplicationConfig replicate;
 };
 
 struct GossipRunResult {
+  /// Per-round timing and mean training loss (the fault, recovery and
+  /// replication fields of RoundRecord stay at their defaults).
   std::vector<RoundRecord> rounds;
   /// Accuracy of every client's final local model (they need not agree).
   std::vector<double> client_accuracy;
@@ -64,11 +52,6 @@ struct GossipRunResult {
   /// the consensus error the averaging is supposed to shrink.
   double consensus_gap = 0.0;
   double total_seconds = 0.0;
-  /// Final per-client health state (empty when both rescheduling and
-  /// replication are off).
-  std::vector<health::ClientHealth> client_health;
-  /// First-finisher verdict of every replicated share (empty when off).
-  std::vector<replication::ShareResolution> replica_log;
 };
 
 class GossipRunner {

@@ -28,9 +28,6 @@ void HealthConfig::validate() const {
   if (battery_floor_soc < 0.0 || battery_floor_soc >= 1.0) {
     throw std::invalid_argument("HealthConfig: battery_floor_soc must be in [0, 1)");
   }
-  if (!(async_wait_base_s > 0.0)) {
-    throw std::invalid_argument("HealthConfig: async_wait_base_s must be > 0");
-  }
 }
 
 const char* status_name(ClientStatus status) noexcept {
@@ -102,54 +99,6 @@ void HealthTracker::observe_round(const std::vector<Observation>& observations) 
     }
     apply_fault(u);
   }
-}
-
-double HealthTracker::observe_trip(std::size_t u, const Observation& observation) {
-  ClientHealth& c = clients_.at(u);
-  const Observation& o = observation;
-  if (o.soc >= 0.0) {
-    if (c.soc >= 0.0) {
-      const double drop = std::max(0.0, c.soc - o.soc);
-      c.soc_drop_ewma =
-          (1.0 - config_.ewma_alpha) * c.soc_drop_ewma + config_.ewma_alpha * drop;
-    }
-    c.soc = o.soc;
-  }
-  c.total_retries += o.retries;
-  if (o.fault == FaultKind::kBatteryDead) {
-    c.status = ClientStatus::kDead;
-    c.total_faults += 1;
-    status_dirty_ = true;
-    return -1.0;
-  }
-  if (o.completed) {
-    c.fault_streak = 0;
-    if (o.predicted_s > 0.0 && o.measured_s > 0.0) {
-      const double ratio = o.measured_s / o.predicted_s;
-      c.speed_ewma = c.has_observation
-                         ? (1.0 - config_.ewma_alpha) * c.speed_ewma +
-                               config_.ewma_alpha * ratio
-                         : ratio;
-      c.has_observation = true;
-    }
-    return 0.0;
-  }
-  apply_fault(u);
-  if (c.status == ClientStatus::kBlacklisted || c.status == ClientStatus::kDead) {
-    return -1.0;
-  }
-  if (c.status == ClientStatus::kProbation) {
-    // Async clients serve probation as a simulated-time wait instead of
-    // benched rounds: bounded exponential backoff on successive benchings.
-    // The wait *is* the bench, so the client re-enters healthy immediately —
-    // the runner enforces the delay before its next pull.
-    const std::size_t exponent =
-        std::min<std::size_t>(c.probations > 0 ? c.probations - 1 : 0, 6);
-    c.status = ClientStatus::kHealthy;
-    c.probation_remaining = 0;
-    return config_.async_wait_base_s * static_cast<double>(std::size_t{1} << exponent);
-  }
-  return 0.0;
 }
 
 void HealthTracker::apply_fault(std::size_t u) {

@@ -52,9 +52,6 @@ struct HealthConfig {
   double battery_floor_soc = 0.05;
   /// Minimum rounds between replans (hysteresis against thrashing).
   std::size_t replan_cooldown_rounds = 1;
-  /// Simulated seconds an async client waits out its first probation; doubles
-  /// per successive probation, capped at 2^6 times the base.
-  double async_wait_base_s = 60.0;
 
   /// Throws std::invalid_argument on out-of-range parameters.
   void validate() const;
@@ -102,7 +99,7 @@ class HealthTracker {
     return clients_;
   }
 
-  /// One client's verdict for a finished round (or async trip).
+  /// One client's verdict for a finished round.
   struct Observation {
     bool participated = false;  // held shards this round
     double predicted_s = 0.0;   // profile prediction; <= 0 skips drift update
@@ -118,11 +115,6 @@ class HealthTracker {
   /// they held no shards), and applies status transitions. Call from the
   /// runner's serial section with a client-indexed vector.
   void observe_round(const std::vector<Observation>& observations);
-
-  /// Async flavour: fold one client's finished trip immediately. Returns the
-  /// simulated seconds the client must wait before its next pull (> 0 only
-  /// when this trip benched it), or -1 when the client is permanently out.
-  double observe_trip(std::size_t u, const Observation& observation);
 
   /// May the client receive shards in the next plan? False for probation /
   /// blacklisted / dead clients and for batteries projected to die within

@@ -145,16 +145,6 @@ std::string round_timeline(const RoundRecord& record,
   return os.str();
 }
 
-std::string convergence_csv(const RunResult& result) {
-  std::ostringstream os;
-  os << "cumulative_s,accuracy\n";
-  for (const RoundRecord& record : result.rounds) {
-    if (record.test_accuracy < 0.0) continue;
-    os << record.cumulative_seconds << ',' << record.test_accuracy << '\n';
-  }
-  return os.str();
-}
-
 void trace_run_start(obs::TraceWriter& trace, std::string_view runner,
                      std::size_t clients, std::size_t rounds, std::uint64_t seed,
                      double deadline_s, bool faults_enabled) {
@@ -338,10 +328,6 @@ void record_round_metrics(obs::MetricsRegistry& metrics,
   }
 }
 
-}  // namespace
-
-namespace {
-
 // Recovery metrics are keyed only when self-healing ran, so recovery-off
 // runs produce byte-identical metric dumps to older builds.
 void record_recovery_metrics(obs::MetricsRegistry& metrics,
@@ -390,33 +376,6 @@ void record_run_metrics(obs::MetricsRegistry& metrics, const RunResult& result) 
   record_replication_metrics(metrics, result.rounds);
   metrics.set_gauge("fl.final_accuracy", result.final_accuracy);
   metrics.set_gauge("fl.total_seconds", result.total_seconds);
-}
-
-void record_run_metrics(obs::MetricsRegistry& metrics, const GossipRunResult& result) {
-  record_round_metrics(metrics, result.rounds);
-  record_recovery_metrics(metrics, result.rounds, result.client_health);
-  record_replication_metrics(metrics, result.rounds);
-  metrics.set_gauge("fl.final_accuracy", result.mean_accuracy);
-  metrics.set_gauge("fl.consensus_gap", result.consensus_gap);
-  metrics.set_gauge("fl.total_seconds", result.total_seconds);
-}
-
-void record_run_metrics(obs::MetricsRegistry& metrics, const AsyncRunResult& result) {
-  metrics.add("fl.merged_updates", result.updates.size());
-  metrics.add("fl.dropped_updates", result.dropped_updates);
-  metrics.add("fl.upload_retries", result.retry_count);
-  metrics.add("fl.battery_deaths", result.battery_deaths);
-  if (result.replica_trips > 0) {
-    metrics.add("fl.replicas_assigned", result.replica_trips);
-    metrics.add("fl.replicas_won", result.replica_merges);
-    metrics.add("fl.replica_waste", result.replica_trips - result.replica_merges);
-  }
-  for (const AsyncUpdateRecord& update : result.updates) {
-    metrics.observe("fl.staleness", static_cast<double>(update.staleness));
-    metrics.observe("fl.mix_weight", update.mix_weight);
-  }
-  metrics.set_gauge("fl.final_accuracy", result.final_accuracy);
-  metrics.set_gauge("fl.total_seconds", result.elapsed_seconds);
 }
 
 }  // namespace fedsched::fl

@@ -1,17 +1,14 @@
 #pragma once
-// Reports over FL runs. Human-readable: a per-round table, a textual Gantt
-// timeline of client activity within a round, a fault rollup, and CSV export
-// of the convergence curve. Machine-readable: JSONL trace events
-// (obs::TraceWriter) and run metrics (obs::MetricsRegistry) shared by all
-// three runners — see docs/API.md "Structured observability" for the event
-// schema.
+// Reports over FedAvg runs. Human-readable: a per-round table, a textual
+// Gantt timeline of client activity within a round, a fault rollup and a
+// per-client recovery table. Machine-readable: JSONL trace events
+// (obs::TraceWriter) and run metrics (obs::MetricsRegistry) — see docs/API.md
+// "Structured observability" for the event schema.
 
 #include <string>
 #include <string_view>
 
 #include "common/table.hpp"
-#include "fl/async_runner.hpp"
-#include "fl/gossip_runner.hpp"
 #include "fl/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -45,10 +42,6 @@ namespace fedsched::fl {
                                          const std::vector<std::string>& client_names,
                                          std::size_t width = 50);
 
-/// Convergence curve (cumulative simulated seconds vs accuracy) as CSV rows;
-/// rounds without an accuracy sample are skipped.
-[[nodiscard]] std::string convergence_csv(const RunResult& result);
-
 // --- JSONL trace events -------------------------------------------------
 //
 // Every emitter is a no-op on a disabled writer. All payloads are simulated
@@ -65,8 +58,7 @@ void trace_run_start(obs::TraceWriter& trace, std::string_view runner,
 void trace_round_start(obs::TraceWriter& trace, std::size_t round);
 
 /// `client_trip`: per-(round, client) timing split (download / compute /
-/// upload / total busy), retries, fault verdict. The async runner passes its
-/// per-client trip counter as `round`.
+/// upload / total busy), retries, fault verdict.
 void trace_client_trip(obs::TraceWriter& trace, std::size_t round, std::size_t client,
                        const RoundTimings& timings, const FaultOutcome& outcome);
 
@@ -127,12 +119,5 @@ void trace_run_end(obs::TraceWriter& trace, double final_accuracy,
 /// (rounds, completions, drops, retries, skips), round/client-second and
 /// loss histograms, final accuracy / total seconds gauges.
 void record_run_metrics(obs::MetricsRegistry& metrics, const RunResult& result);
-
-/// Gossip flavour: per-round counters plus mean accuracy / consensus gap.
-void record_run_metrics(obs::MetricsRegistry& metrics, const GossipRunResult& result);
-
-/// Async flavour: merge/drop/retry/battery counters, staleness and mix
-/// histograms, final accuracy / elapsed gauges.
-void record_run_metrics(obs::MetricsRegistry& metrics, const AsyncRunResult& result);
 
 }  // namespace fedsched::fl

@@ -1,6 +1,6 @@
 // The fault model's contract: every draw is a pure function of
 // (seed, round, client), disabled injection is bit-for-bit invisible, and
-// the runners stay deterministic at every parallelism width with faults on.
+// FedAvg stays deterministic at every parallelism width with faults on.
 
 #include "fl/faults.hpp"
 
@@ -12,8 +12,6 @@
 #include "core/experiment.hpp"
 #include "data/partition.hpp"
 #include "data/synth.hpp"
-#include "fl/async_runner.hpp"
-#include "fl/gossip_runner.hpp"
 #include "fl/runner.hpp"
 #include "fl/trainer.hpp"
 #include "nn/models.hpp"
@@ -451,95 +449,6 @@ TEST(FaultDeterminism, FedAvgParallelWidthsBitIdenticalUnderFaults) {
   EXPECT_TRUE(any_fault) << "stress config triggered nothing; weak test";
   EXPECT_EQ(serial.final_accuracy, parallel.final_accuracy);
   EXPECT_EQ(serial_params, parallel_params);
-}
-
-TEST(FaultDeterminism, GossipParallelWidthsBitIdenticalUnderFaults) {
-  Fixture f;
-  const auto partition = f.partition();
-  auto run_width = [&](std::size_t parallelism) {
-    GossipConfig config;
-    config.rounds = 3;
-    config.seed = 78;
-    config.parallelism = parallelism;
-    config.faults = stress_faults();
-    config.deadline_s = 40.0;
-    GossipRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                        device::NetworkType::kWifi, config);
-    return runner.run(partition);
-  };
-  const GossipRunResult serial = run_width(1);
-  const GossipRunResult parallel = run_width(4);
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    EXPECT_EQ(serial.rounds[r].client_faults, parallel.rounds[r].client_faults);
-    EXPECT_EQ(serial.rounds[r].client_seconds, parallel.rounds[r].client_seconds);
-    EXPECT_EQ(serial.rounds[r].dropped_clients, parallel.rounds[r].dropped_clients);
-  }
-  EXPECT_EQ(serial.client_accuracy, parallel.client_accuracy);
-  EXPECT_EQ(serial.consensus_gap, parallel.consensus_gap);
-  EXPECT_EQ(serial.total_seconds, parallel.total_seconds);
-}
-
-TEST(FaultDeterminism, AsyncParallelWidthsBitIdenticalUnderFaults) {
-  Fixture f;
-  const auto partition = f.partition();
-  auto run_width = [&](std::size_t parallelism) {
-    AsyncConfig config;
-    config.horizon_seconds = 60.0;
-    config.seed = 79;
-    config.parallelism = parallelism;
-    config.faults = stress_faults();
-    config.deadline_s = 30.0;
-    AsyncRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                       device::NetworkType::kWifi, config);
-    return runner.run(partition);
-  };
-  const AsyncRunResult serial = run_width(1);
-  const AsyncRunResult parallel = run_width(4);
-  ASSERT_EQ(serial.updates.size(), parallel.updates.size());
-  for (std::size_t k = 0; k < serial.updates.size(); ++k) {
-    EXPECT_EQ(serial.updates[k].time_s, parallel.updates[k].time_s);
-    EXPECT_EQ(serial.updates[k].client, parallel.updates[k].client);
-    EXPECT_EQ(serial.updates[k].staleness, parallel.updates[k].staleness);
-  }
-  EXPECT_EQ(serial.dropped_updates, parallel.dropped_updates);
-  EXPECT_EQ(serial.retry_count, parallel.retry_count);
-  EXPECT_EQ(serial.battery_deaths, parallel.battery_deaths);
-  EXPECT_EQ(serial.final_accuracy, parallel.final_accuracy);
-}
-
-TEST(AsyncFaults, DropoutProducesFewerMergesButStillRuns) {
-  Fixture f;
-  const auto partition = f.partition();
-  auto run_with = [&](double dropout) {
-    AsyncConfig config;
-    config.horizon_seconds = 60.0;
-    config.seed = 80;
-    config.faults.enabled = dropout > 0.0;
-    config.faults.dropout_prob = dropout;
-    AsyncRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                       device::NetworkType::kWifi, config);
-    return runner.run(partition);
-  };
-  const AsyncRunResult clean = run_with(0.0);
-  const AsyncRunResult faulty = run_with(0.5);
-  EXPECT_EQ(clean.dropped_updates, 0u);
-  EXPECT_GT(faulty.dropped_updates, 0u);
-  EXPECT_LT(faulty.updates.size(), clean.updates.size());
-}
-
-TEST(AsyncFaults, AllCrashingFleetMergesNothingWithoutHanging) {
-  Fixture f;
-  AsyncConfig config;
-  config.horizon_seconds = 60.0;
-  config.seed = 81;
-  config.faults.enabled = true;
-  config.faults.dropout_prob = 1.0;
-  AsyncRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                     device::NetworkType::kWifi, config);
-  const AsyncRunResult result = runner.run(f.partition());
-  EXPECT_TRUE(result.updates.empty());
-  EXPECT_GT(result.dropped_updates, 0u);
 }
 
 // ---------------------------------------------------------------------------

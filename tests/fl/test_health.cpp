@@ -212,27 +212,6 @@ TEST(HealthTracker, ReplanDueOnStatusChangeAndDriftOnly) {
   EXPECT_TRUE(tracker.replan_due(5));
 }
 
-TEST(HealthTracker, ObserveTripBackoffDoublesAndBlacklistStops) {
-  HealthConfig config;
-  config.probation_streak = 1;
-  config.blacklist_faults = 3;
-  config.async_wait_base_s = 60.0;
-  HealthTracker tracker(config, 1);
-
-  // Each benching trip returns a doubled wait and the client re-enters
-  // healthy immediately — the wait itself is the bench.
-  EXPECT_DOUBLE_EQ(tracker.observe_trip(0, faulted()), 60.0);
-  EXPECT_EQ(tracker.client(0).status, ClientStatus::kHealthy);
-  EXPECT_DOUBLE_EQ(tracker.observe_trip(0, faulted()), 120.0);
-  // Third cumulative fault crosses the blacklist: permanently out.
-  EXPECT_DOUBLE_EQ(tracker.observe_trip(0, faulted()), -1.0);
-  EXPECT_EQ(tracker.client(0).status, ClientStatus::kBlacklisted);
-
-  HealthTracker fresh(config, 1);
-  EXPECT_DOUBLE_EQ(fresh.observe_trip(0, completed(10.0, 12.0)), 0.0);
-  EXPECT_DOUBLE_EQ(fresh.client(0).speed_ewma, 1.2);
-}
-
 TEST(HealthTracker, SnapshotRestoreRoundTrips) {
   HealthConfig config;
   config.probation_streak = 2;

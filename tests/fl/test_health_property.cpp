@@ -179,35 +179,6 @@ TEST(HealthPropertyFuzz, InvariantsHoldOverRandomRoundSequences) {
   }
 }
 
-TEST(HealthPropertyFuzz, AsyncTripInvariantsHold) {
-  // Same invariants under the per-trip API; waits are bounded by the capped
-  // exponential backoff and permanent exclusion always returns -1.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    common::Rng rng(seed * 104729);
-    HealthTracker tracker(HealthConfig{}, kClients);
-    std::vector<ClientShadow> shadow(kClients);
-    const double max_wait =
-        tracker.config().async_wait_base_s * static_cast<double>(1u << 6);
-    for (std::size_t step = 0; step < 500; ++step) {
-      const auto u = static_cast<std::size_t>(rng.uniform_int(kClients));
-      auto obs = random_round(rng, tracker, shadow);
-      // The async runner never schedules a permanently excluded client again.
-      if (tracker.client(u).status != ClientStatus::kHealthy) continue;
-      obs[u].participated = true;  // a trip always participates
-      const double wait = tracker.observe_trip(u, obs[u]);
-      const ClientStatus now = tracker.client(u).status;
-      if (now == ClientStatus::kBlacklisted || now == ClientStatus::kDead) {
-        EXPECT_EQ(wait, -1.0);
-      } else {
-        EXPECT_GE(wait, 0.0);
-        EXPECT_LE(wait, max_wait);
-        // Async probation is served as a wait, never as a benched status.
-        EXPECT_NE(now, ClientStatus::kProbation);
-      }
-    }
-  }
-}
-
 TEST(HealthPropertyFuzz, SnapshotRestoreSnapshotBitwiseStable) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     common::Rng rng(seed * 31337);

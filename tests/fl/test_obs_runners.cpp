@@ -1,4 +1,4 @@
-// Observability contracts of the runners (docs/API.md):
+// Observability contracts of the FedAvg runner (docs/API.md):
 //   1. Traces are byte-identical at every `parallelism` width — they record
 //      simulated time only and are emitted from serial sections.
 //   2. The disabled sink is free: a runner handed no TraceWriter/
@@ -10,8 +10,6 @@
 
 #include "data/partition.hpp"
 #include "data/synth.hpp"
-#include "fl/async_runner.hpp"
-#include "fl/gossip_runner.hpp"
 #include "fl/report.hpp"
 #include "fl/runner.hpp"
 
@@ -80,46 +78,6 @@ TEST(ObsRunners, FedAvgTraceByteIdenticalAcrossParallelism) {
   const std::string parallel = traced_run(4);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);  // byte-equal, not just equivalent
-}
-
-TEST(ObsRunners, GossipTraceByteIdenticalAcrossParallelism) {
-  Fixture f;
-  const auto partition = f.partition();
-  auto traced_run = [&](std::size_t parallelism) {
-    std::ostringstream os;
-    obs::TraceWriter trace(os);
-    GossipConfig config;
-    config.rounds = 2;
-    config.seed = 42;
-    config.parallelism = parallelism;
-    config.faults = f.faults();
-    config.trace = &trace;
-    GossipRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                        device::NetworkType::kWifi, config);
-    (void)runner.run(partition);
-    return os.str();
-  };
-  EXPECT_EQ(traced_run(1), traced_run(4));
-}
-
-TEST(ObsRunners, AsyncTraceByteIdenticalAcrossParallelism) {
-  Fixture f;
-  const auto partition = f.partition();
-  auto traced_run = [&](std::size_t parallelism) {
-    std::ostringstream os;
-    obs::TraceWriter trace(os);
-    AsyncConfig config;
-    config.horizon_seconds = 400.0;
-    config.seed = 42;
-    config.parallelism = parallelism;
-    config.faults = f.faults();
-    config.trace = &trace;
-    AsyncRunner runner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
-                       device::NetworkType::kWifi, config);
-    (void)runner.run(partition);
-    return os.str();
-  };
-  EXPECT_EQ(traced_run(1), traced_run(4));
 }
 
 TEST(ObsRunners, DisabledSinkLeavesRunResultBitIdentical) {
