@@ -243,6 +243,7 @@ int cmd_schedule(const Args& args) {
   const auto& model = device::desc_by_name(args.get("model", "LeNet"));
   const auto total = args.get_size("samples", 60000);
   const auto shard = args.get_size("shard", 100);
+  if (shard == 0) throw std::invalid_argument("--shard must be > 0");
   const std::string policy = args.get("policy", "fed-lbap");
   const auto network = args.get("network", "wifi") == "lte"
                            ? device::NetworkType::kLte

@@ -1,9 +1,25 @@
 #include "common/thread_pool.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <exception>
 
 namespace fedsched::common {
+
+// One fork/join in flight, on the forking caller's stack. The fields above
+// `next` are fixed before the job is published; the rest are guarded by the
+// pool's mutex. A job leaves the open list with its last claimed chunk, and
+// its caller returns only once every chunk has finished, so no thread
+// touches it after that.
+struct ThreadPool::Job {
+  ChunkFn run;
+  const void* fn;
+  std::size_t begin;
+  std::size_t end;
+  std::size_t chunks;
+  std::size_t next = 0;                // first unclaimed chunk
+  std::size_t unfinished = 0;          // chunks not yet finished
+  std::exception_ptr error = nullptr;  // the first chunk failure
+  Job* older = nullptr;                // the next job in open_
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -18,57 +34,8 @@ ThreadPool::~ThreadPool() {
     const std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::enqueue(std::function<void()> task) {
-  {
-    const std::lock_guard lock(mutex_);
-    if (stopping_) throw std::runtime_error("ThreadPool: submit after shutdown");
-    queue_.push(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    const std::lock_guard lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
-  }
-  task();
-  return true;
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_blocks(begin, end, [&fn](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-void ThreadPool::parallel_for_blocks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for_chunks(begin, end, size(),
-                      [&fn](std::size_t, std::size_t lo, std::size_t hi) { fn(lo, hi); });
 }
 
 std::pair<std::size_t, std::size_t> ThreadPool::chunk_bounds(
@@ -83,64 +50,54 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_bounds(
   return {lo, lo + base + (c < extra ? 1 : 0)};
 }
 
-// Join state shared by the chunks of one parallel_for_chunks call.
-struct ThreadPool::ForkJoin {
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::size_t pending;
+void ThreadPool::run_next_chunk(Job& job, std::unique_lock<std::mutex>& lock) {
+  const std::size_t c = job.next++;
+  if (job.next == job.chunks) {
+    Job** link = &open_;
+    while (*link != &job) link = &(*link)->older;
+    *link = job.older;
+  }
+  lock.unlock();
   std::exception_ptr error;
-
-  explicit ForkJoin(std::size_t n) : pending(n) {}
-
-  void finish(std::exception_ptr e) {
-    const std::lock_guard lock(mutex);
-    if (e && !error) error = std::move(e);
-    if (--pending == 0) done_cv.notify_all();
+  try {
+    const auto [lo, hi] = chunk_bounds(job.begin, job.end, job.chunks, c);
+    job.run(job.fn, c, lo, hi);
+  } catch (...) {
+    error = std::current_exception();
   }
-};
+  lock.lock();
+  if (error && !job.error) job.error = std::move(error);
+  if (--job.unfinished == 0) done_cv_.notify_all();
+}
 
-void ThreadPool::parallel_for_chunks(std::size_t begin, std::size_t end,
-                                     std::size_t chunks, const ChunkFn& fn) {
-  if (begin >= end || chunks == 0) return;
-  chunks = std::min(chunks, end - begin);
-  if (chunks == 1) {
-    fn(0, begin, end);
-    return;
-  }
-
-  auto join = std::make_shared<ForkJoin>(chunks);
-  auto run_chunk = [&fn, begin, end, chunks, join](std::size_t c) {
-    std::exception_ptr error;
-    try {
-      const auto [lo, hi] = chunk_bounds(begin, end, chunks, c);
-      fn(c, lo, hi);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    join->finish(std::move(error));
-  };
-  for (std::size_t c = 1; c < chunks; ++c) {
-    enqueue([run_chunk, c] { run_chunk(c); });
-  }
-  run_chunk(0);
-
-  // Help drain the queue while joining: a task on this pool can safely call
-  // parallel_for on the same pool even when every worker is busy, because the
-  // joining thread keeps executing queued work instead of blocking. Once the
-  // queue is observed empty, the remaining chunks are running on other
-  // threads and will signal completion.
+void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    {
-      const std::lock_guard lock(join->mutex);
-      if (join->pending == 0) break;
-    }
-    if (!try_run_one()) {
-      std::unique_lock lock(join->mutex);
-      join->done_cv.wait(lock, [&join] { return join->pending == 0; });
-      break;
-    }
+    work_cv_.wait(lock, [this] { return stopping_ || open_ != nullptr; });
+    if (open_ == nullptr) return;  // stopping_, and every job is claimed
+    // The newest job first: it is the innermost fork/join of some caller.
+    run_next_chunk(*open_, lock);
   }
-  if (join->error) std::rethrow_exception(join->error);
+}
+
+void ThreadPool::fork_join(std::size_t begin, std::size_t end, std::size_t chunks,
+                           ChunkFn run, const void* fn) {
+  Job job{.run = run, .fn = fn, .begin = begin, .end = end, .chunks = chunks,
+          .unfinished = chunks};
+  std::unique_lock lock(mutex_);
+  job.older = open_;
+  open_ = &job;
+  lock.unlock();
+  // One wake-up per chunk beyond the one this thread starts on.
+  for (std::size_t c = 1; c < chunks && c <= size(); ++c) work_cv_.notify_one();
+
+  // Claim chunks alongside the workers. Once none is left, the unfinished
+  // ones are running on other threads, none of which waits on this job.
+  lock.lock();
+  while (job.next < job.chunks) run_next_chunk(job, lock);
+  done_cv_.wait(lock, [&job] { return job.unfinished == 0; });
+  lock.unlock();
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 ThreadPool& global_pool() {

@@ -32,9 +32,9 @@ struct TrainRunSpec {
   std::string policy = "fed-lbap";  // fed-lbap | equal | prop | random
   std::size_t rounds = 10;
   std::uint64_t seed = 1;
-  /// Host worker threads inside the run (results bit-identical at any
-  /// value); coordinator runs default to serial so multiplexed runs do not
-  /// oversubscribe the host.
+  /// Client lanes inside the run, on the process pool (results
+  /// bit-identical at any value); coordinator runs default to serial so
+  /// multiplexed runs do not oversubscribe the host.
   std::size_t parallelism = 1;
   bool evaluate_each_round = false;
 };

@@ -68,15 +68,7 @@ std::vector<double> tree_weighted_sum(std::span<const std::uint32_t> members,
     }
   };
 
-  if (pool != nullptr && groups > 1) {
-    pool->parallel_for_chunks(0, members.size(), groups, accumulate_group);
-  } else {
-    for (std::size_t g = 0; g < groups; ++g) {
-      const auto [lo, hi] =
-          common::ThreadPool::chunk_bounds(0, members.size(), groups, g);
-      accumulate_group(g, lo, hi);
-    }
-  }
+  common::parallel_for_chunks(pool, 0, members.size(), groups, accumulate_group);
 
   // Combine shard-group partials in group order on one thread: the only
   // cross-group arithmetic, and it never depends on the pool.

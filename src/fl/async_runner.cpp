@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <functional>
-#include <future>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -115,35 +114,43 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
   AsyncRunResult result;
   std::vector<float> global_params = global_.flat_params();
 
-  // Phase 2 — pipelined training. A client trains from the parameters it
+  // Phase 2 — training in waves. A client trains from the parameters it
   // pulled at launch; merges that land while it is in flight do not affect
-  // it (that is exactly the staleness the runner models). So each training
-  // task is a pure function of its launch snapshot, and concurrently
-  // in-flight clients train in parallel while merges apply in timeline
-  // order. fork(k + 1) matches the serial stream: fork() never advances the
-  // parent, so the index alone determines the stream.
+  // it (that is exactly the staleness the runner models). So training merge
+  // k is a pure function of its pulled snapshot, its client's optimizer and
+  // rng.fork(k + 1) (fork() never advances the parent, so the index alone
+  // determines the stream), and merges still apply in timeline order. When
+  // the next merge to apply is untrained, one wave trains every launched,
+  // untrained merge in parallel. A wave holds each client at most once: a
+  // client launches its next merge only after its previous one applied.
+  std::vector<std::vector<float>> pulled(n_merges);
   std::vector<std::vector<float>> locals(n_merges);
-  std::vector<std::future<void>> pending(n_merges);
-  auto launch = [&](std::size_t k, std::vector<float> pulled) {
-    const std::size_t u = merges[k].client;
-    common::Rng client_rng = rng.fork(k + 1);
-    pending[k] = executor_.submit(
-        [this, &partition, &optimizers, &locals, k, u, client_rng,
-         pulled = std::move(pulled)](nn::Model& worker) mutable {
-          worker.set_flat_params(pulled);
-          (void)train_epoch(worker, optimizers[u], train_, partition.user_indices[u],
-                            config_.batch_size, client_rng);
-          locals[k] = worker.flat_params();
-        });
+  std::vector<std::size_t> wave;  // launched, untrained merges
+  auto launch = [&](std::size_t k) {
+    pulled[k] = global_params;
+    wave.push_back(k);
+  };
+  auto train_wave = [&] {
+    executor_.for_each_client(wave.size(), [&](std::size_t i, nn::Model& worker) {
+      const std::size_t k = wave[i];
+      const std::size_t u = merges[k].client;
+      common::Rng client_rng = rng.fork(k + 1);
+      worker.set_flat_params(pulled[k]);
+      (void)train_epoch(worker, optimizers[u], train_, partition.user_indices[u],
+                        config_.batch_size, client_rng);
+      locals[k] = worker.flat_params();
+      pulled[k] = {};
+    });
+    wave.clear();
   };
   for (std::size_t u = 0; u < n; ++u) {
-    if (first_merge[u] < n_merges) launch(first_merge[u], global_params);
+    if (first_merge[u] < n_merges) launch(first_merge[u]);
   }
 
   std::vector<std::size_t> base_version(n, 0);
   for (std::size_t k = 0; k < n_merges; ++k) {
     const std::size_t u = merges[k].client;
-    pending[k].get();
+    if (locals[k].empty()) train_wave();  // merge k is in the open wave
     const std::vector<float> local = std::move(locals[k]);
 
     const std::size_t staleness = k - base_version[u];
@@ -157,7 +164,7 @@ AsyncRunResult AsyncRunner::run(const data::Partition& partition) {
     result.elapsed_seconds = merges[k].time_s;
     base_version[u] = k + 1;
 
-    if (next_merge[k] < n_merges) launch(next_merge[k], global_params);
+    if (next_merge[k] < n_merges) launch(next_merge[k]);
   }
 
   global_.set_flat_params(global_params);

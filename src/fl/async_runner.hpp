@@ -35,9 +35,9 @@ struct AsyncConfig {
   /// Weight decays as base_mix / (1 + staleness)^damping.
   double damping = 1.0;
   std::uint64_t seed = 1;
-  /// Host threads training in-flight clients concurrently: 0 = hardware
-  /// concurrency, 1 = serial legacy path. Results are identical for every
-  /// value — the merge order is fixed by the simulated timeline.
+  /// Lanes training a wave of in-flight clients concurrently on the process
+  /// pool: 0 = hardware concurrency, 1 = inline. Results are identical for
+  /// every value — the merge order is fixed by the simulated timeline.
   std::size_t parallelism = 0;
 };
 
@@ -74,7 +74,7 @@ class AsyncRunner {
   device::NetworkType network_;
   AsyncConfig config_;
   nn::Model global_;
-  ClientExecutor executor_;  // per-lane worker models + pool
+  ClientExecutor executor_;  // per-lane worker models
 };
 
 }  // namespace fedsched::fl

@@ -128,26 +128,28 @@ GossipRunResult GossipRunner::run(const data::Partition& partition) {
     // neighborhood in fixed order, so the mixing parallelizes per client.
     // Dataless clients mix their neighbors but weigh 0.
     std::vector<std::vector<float>> mixed(n);
-    executor_.for_each_index(n, [&](std::size_t u) {
-      double total_weight = static_cast<double>(share_sizes[u]);
-      std::vector<float> acc(trained[u].size(), 0.0f);
-      auto accumulate = [&](std::size_t v, double w) {
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          acc[i] += static_cast<float>(w) * trained[v][i];
+    executor_.for_each_block(n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t u = lo; u < hi; ++u) {
+        double total_weight = static_cast<double>(share_sizes[u]);
+        std::vector<float> acc(trained[u].size(), 0.0f);
+        auto accumulate = [&](std::size_t v, double w) {
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            acc[i] += static_cast<float>(w) * trained[v][i];
+          }
+        };
+        accumulate(u, static_cast<double>(share_sizes[u]));
+        for (std::size_t v : neighbors[u]) {
+          const double w = static_cast<double>(share_sizes[v]);
+          total_weight += w;
+          accumulate(v, w);
         }
-      };
-      accumulate(u, static_cast<double>(share_sizes[u]));
-      for (std::size_t v : neighbors[u]) {
-        const double w = static_cast<double>(share_sizes[v]);
-        total_weight += w;
-        accumulate(v, w);
+        if (total_weight <= 0.0) {
+          mixed[u] = trained[u];  // isolated, dataless client keeps its params
+          continue;
+        }
+        for (float& x : acc) x /= static_cast<float>(total_weight);
+        mixed[u] = std::move(acc);
       }
-      if (total_weight <= 0.0) {
-        mixed[u] = trained[u];  // isolated, dataless client keeps its params
-        return;
-      }
-      for (float& x : acc) x /= static_cast<float>(total_weight);
-      mixed[u] = std::move(acc);
     });
     params = std::move(mixed);
 
@@ -172,14 +174,16 @@ GossipRunResult GossipRunner::run(const data::Partition& partition) {
   result.mean_accuracy = acc_sum / static_cast<double>(n);
 
   std::vector<double> row_gap(n, 0.0);
-  executor_.for_each_index(n, [&](std::size_t u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      double sq = 0.0;
-      for (std::size_t i = 0; i < params[u].size(); ++i) {
-        const double diff = params[u][i] - params[v][i];
-        sq += diff * diff;
+  executor_.for_each_block(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      for (std::size_t v = u + 1; v < n; ++v) {
+        double sq = 0.0;
+        for (std::size_t i = 0; i < params[u].size(); ++i) {
+          const double diff = params[u][i] - params[v][i];
+          sq += diff * diff;
+        }
+        row_gap[u] = std::max(row_gap[u], std::sqrt(sq));
       }
-      row_gap[u] = std::max(row_gap[u], std::sqrt(sq));
     }
   });
   for (double gap : row_gap) result.consensus_gap = std::max(result.consensus_gap, gap);

@@ -36,8 +36,8 @@ struct GossipConfig {
   nn::SgdConfig sgd{.learning_rate = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f};
   Topology topology = Topology::kRing;
   std::uint64_t seed = 1;
-  /// Host threads training clients concurrently: 0 = hardware concurrency,
-  /// 1 = serial legacy path. Results are identical for every value.
+  /// Lanes training clients concurrently on the process pool: 0 = hardware
+  /// concurrency, 1 = inline. Results are identical for every value.
   std::size_t parallelism = 0;
 };
 

@@ -54,8 +54,8 @@ struct FlConfig {
   bool evaluate_each_round = false;
   /// Idle time between rounds (devices cool down), seconds of simulated time.
   double idle_between_rounds_s = 0.0;
-  /// Host threads training clients concurrently: 0 = hardware concurrency,
-  /// 1 = serial legacy path. Results are identical for every value (the
+  /// Lanes training clients concurrently on the process pool: 0 = hardware
+  /// concurrency, 1 = inline. Results are identical for every value (the
   /// determinism contract; see docs/API.md).
   std::size_t parallelism = 0;
   /// Round deadline (simulated seconds): the server aggregates whatever

@@ -55,7 +55,8 @@ constexpr std::size_t kClientGrain = 8192;
 
 /// fn(lo, hi) over the clients [0, n): one call on the caller without a
 /// pool, else one call per fixed chunk of kClientGrain clients on the pool.
-/// Returns the per-call results in chunk order.
+/// Returns the per-call results in chunk order (with no clients, one
+/// value-initialized result).
 template <typename Fn>
 auto map_client_chunks(common::ThreadPool* pool, std::size_t n, const Fn& fn) {
   using Result = std::invoke_result_t<const Fn&, std::size_t, std::size_t>;
@@ -64,14 +65,10 @@ auto map_client_chunks(common::ThreadPool* pool, std::size_t n, const Fn& fn) {
                       : std::max<std::size_t>(
                             1, common::ThreadPool::grain_chunks(n, kClientGrain));
   std::vector<Result> results(chunks);
-  if (chunks == 1) {
-    results[0] = fn(0, n);
-  } else {
-    pool->parallel_for_chunks(
-        0, n, chunks, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-          results[c] = fn(lo, hi);
-        });
-  }
+  common::parallel_for_chunks(pool, 0, n, chunks,
+                              [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                                results[c] = fn(lo, hi);
+                              });
   return results;
 }
 

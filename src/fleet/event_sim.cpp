@@ -8,6 +8,7 @@
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fl/aggregate.hpp"
 
 namespace fedsched::fleet {
@@ -125,9 +126,6 @@ FleetSimulator::FleetSimulator(FleetState state, FleetSimConfig config)
   if (config_.group_size == 0) {
     throw std::invalid_argument("FleetSimulator: zero group size");
   }
-  if (config_.parallelism != 1) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.parallelism);
-  }
 }
 
 FleetRoundResult FleetSimulator::run_round(
@@ -138,6 +136,8 @@ FleetRoundResult FleetSimulator::run_round(
     throw std::invalid_argument("FleetSimulator::run_round: plan size mismatch");
   }
   const bool dyn = dynamics != nullptr && dynamics->enabled();
+  common::ThreadPool* const pool =
+      config_.parallelism == 1 ? nullptr : &common::global_pool();
   if (dyn) dynamics->ensure_size(state_.size());
 
   FleetRoundResult result;
@@ -200,7 +200,7 @@ FleetRoundResult FleetSimulator::run_round(
 
   if (dyn) {
     for (const DynEvent& ev :
-         dynamics->churn_events(state_, round, plan_span, pool_.get())) {
+         dynamics->churn_events(state_, round, plan_span, pool)) {
       events.push_back({ev.time_s, static_cast<std::uint8_t>(ev.kind), ev.client});
     }
   }
@@ -331,7 +331,7 @@ FleetRoundResult FleetSimulator::run_round(
     };
     result.global_update = fl::tree_weighted_sum(
         result.contributors, weights, config_.update_dim, update_into,
-        config_.group_size, pool_.get());
+        config_.group_size, pool);
     const double total_weight = static_cast<double>(result.survivor_shards);
     for (double& v : result.global_update) v /= total_weight;
   }
@@ -340,7 +340,7 @@ FleetRoundResult FleetSimulator::run_round(
     // Close the round: integrate charging over the round span plus the
     // configured inter-round gap, revive charged-up dead clients, advance
     // the dynamics clock.
-    result.revivals = dynamics->finish_round(state_, result.makespan_s, pool_.get());
+    result.revivals = dynamics->finish_round(state_, result.makespan_s, pool);
     if (metrics != nullptr) {
       metrics->add("fleet.joins", result.joins);
       metrics->add("fleet.leaves", result.leaves);

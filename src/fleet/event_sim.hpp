@@ -55,19 +55,18 @@
 // layer only finish events exist — results and trace bytes are
 // bit-identical to a build without dynamics.
 //
-// With `parallelism` > 1 the simulator's pool also runs the dynamics
-// layer's per-client passes (churn draws, end-of-round charging) over fixed
-// client chunks; both are exact in any order, so results stay bit-identical
-// at every width.
+// With `parallelism` other than 1 the tree reduction and the dynamics
+// layer's per-client passes (churn draws, end-of-round charging) fork over
+// fixed chunks on the process pool (common::global_pool()); the simulator
+// owns no threads. Every pass is exact in any order, so results stay
+// bit-identical at every width.
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "fleet/dynamics.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
@@ -87,8 +86,9 @@ struct FleetSimConfig {
   std::size_t update_dim = 32;
   /// Tree-aggregation fan-in (clients per shard-group partial).
   std::size_t group_size = 1024;
-  /// Worker threads for the tree aggregation and the dynamics layer's
-  /// per-client passes: 1 = serial, 0 = hardware concurrency.
+  /// Where the tree aggregation and the dynamics layer's per-client passes
+  /// run: 1 = serially on the caller, any other value = on the process pool
+  /// (common::global_pool()).
   std::size_t parallelism = 1;
   std::uint64_t seed = 0x5eedULL;
 };
@@ -167,7 +167,6 @@ class FleetSimulator {
  private:
   FleetState state_;
   FleetSimConfig config_;
-  std::unique_ptr<common::ThreadPool> pool_;  // null when parallelism == 1
 };
 
 }  // namespace fedsched::fleet

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -81,20 +80,9 @@ std::size_t Conv2d::sample_chunks(std::size_t n) noexcept {
 
 template <typename Fn>
 void Conv2d::dispatch_chunks(std::size_t n, const Fn& fn) const {
-  const std::size_t chunks = sample_chunks(n);
-  if (chunks <= 1) {
-    if (n > 0) fn(0, 0, n);
-    return;
-  }
   const double macs = macs_per_sample() * static_cast<double>(n);
-  if (macs >= kMinMacsForPool && common::global_pool().size() > 1) {
-    common::global_pool().parallel_for_chunks(0, n, chunks, std::cref(fn));
-    return;
-  }
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const auto [lo, hi] = common::ThreadPool::chunk_bounds(0, n, chunks, c);
-    fn(c, lo, hi);
-  }
+  common::parallel_for_chunks(macs >= kMinMacsForPool ? &common::global_pool() : nullptr,
+                              0, n, sample_chunks(n), fn);
 }
 
 const Tensor& Conv2d::forward(const Tensor& input, bool train) {

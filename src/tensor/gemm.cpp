@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -345,19 +344,12 @@ void run_gemm(std::size_t m, std::size_t n, std::size_t k, const Operand& a,
   Workspace& w = ws ? *ws : local;
   w.ensure(panels);
 
-  const auto panel_fn = [&](std::size_t idx, std::size_t lo, std::size_t hi) {
-    run_panel(m, n, k, lo, hi, a, b, c, w.slot(idx));
-  };
   const double macs = static_cast<double>(m) * static_cast<double>(n) *
                       static_cast<double>(k);
-  if (panels > 1 && pool != nullptr && pool->size() > 1 && macs >= kMinMacsForPool) {
-    pool->parallel_for_chunks(0, n, panels, std::cref(panel_fn));
-  } else {
-    for (std::size_t idx = 0; idx < panels; ++idx) {
-      const auto [lo, hi] = common::ThreadPool::chunk_bounds(0, n, panels, idx);
-      panel_fn(idx, lo, hi);
-    }
-  }
+  common::parallel_for_chunks(macs >= kMinMacsForPool ? pool : nullptr, 0, n, panels,
+                              [&](std::size_t idx, std::size_t lo, std::size_t hi) {
+                                run_panel(m, n, k, lo, hi, a, b, c, w.slot(idx));
+                              });
 }
 
 }  // namespace

@@ -7,13 +7,12 @@
 // loss, Model::backward and Sgd::step of one training step, after a warm-up
 // batch, across a switch to a ragged tail batch and back:
 //
-//  - LeNet on the mnist-like set: every shape runs inline, so a step
-//    allocates nothing at all.
+//  - LeNet on the mnist-like set: every shape runs inline.
 //  - VGG6 on the cifar-like set: two conv layers are heavy enough at batch 20
-//    to fork onto the global thread pool. Each fork/join allocates in
-//    ThreadPool itself (its join state, one queued task per chunk past the
-//    first, and a queue node every 16 tasks), and nothing else does; the test
-//    names those fork/joins and expects exactly their allocations.
+//    to fork onto the global thread pool, and a fork/join keeps its join
+//    state on the caller's stack, so a step still allocates nothing.
+//
+// A separate case counts bare fork/joins on the global pool, nested included.
 
 #include <gtest/gtest.h>
 
@@ -157,46 +156,49 @@ TEST(StepAllocations, LeNetSteadyStateAllocatesNothing) {
   }
 }
 
-/// Allocations of `reps` fork/joins of `chunks` chunks on the global pool.
-std::size_t fork_join_allocations(std::size_t chunks, std::size_t reps) {
-  return allocations_in([&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      common::global_pool().parallel_for_chunks(
-          0, chunks, chunks, [](std::size_t, std::size_t, std::size_t) {});
-    }
-  });
-}
-
-TEST(StepAllocations, Vgg6AllocatesOnlyInPooledForkJoins) {
+TEST(StepAllocations, Vgg6SteadyStateAllocatesNothing) {
   Trainer vgg(Arch::kVgg6);
   (void)vgg.step(20);  // warm-up
 
   // A ragged batch of 10 keeps every shape under the pool threshold.
-  const StepAllocations ragged = vgg.step(10);
-  EXPECT_EQ(ragged.total(), 0u);
+  EXPECT_EQ(vgg.step(10).total(), 0u);
 
-  // Back at batch 20, the fork/joins of one step (all in conv2 and conv4;
-  // conv1, conv3, conv5 and the dense head stay inline):
-  //   - conv2 (8->8 channels, 16x16): 3 sample-chunk dispatches of 3 chunks
-  //     (unfold, bias + NCHW scatter, fold) and two GEMMs of 14 column
-  //     panels (forward W*cols and dX W^T*dY over 20*256 columns);
-  //   - conv4 (16->16 channels, 8x8): the same dispatches, and GEMMs of 4
-  //     panels over 20*64 columns.
-  // Sixteen steps make a whole number of queue nodes.
-  constexpr std::size_t kSteps = 16;
-  std::size_t expected = 0;
-  if (common::global_pool().size() > 1) {
-    for (const std::size_t chunks : {3, 3, 3, 14, 14, 3, 3, 3, 4, 4}) {
-      expected += fork_join_allocations(chunks, kSteps);
-    }
-  }
-  const StepAllocations pooled = vgg.steps(kSteps, 20);
+  // At batch 20, conv2 and conv4 fork onto the global pool: three
+  // sample-chunk dispatches of 3 chunks each (unfold, bias + NCHW scatter,
+  // fold) and GEMMs of 14 (conv2) and 4 (conv4) column panels. conv1, conv3,
+  // conv5 and the dense head stay inline.
+  const StepAllocations pooled = vgg.steps(16, 20);
+  EXPECT_EQ(pooled.forward, 0u);
   EXPECT_EQ(pooled.loss, 0u);
+  EXPECT_EQ(pooled.backward, 0u);
   EXPECT_EQ(pooled.sgd_step, 0u);
-  EXPECT_EQ(pooled.total(), expected)
-      << "forward " << pooled.forward << ", backward " << pooled.backward;
 
   EXPECT_EQ(vgg.step(10).total(), 0u);
+}
+
+TEST(ForkJoinAllocations, GlobalPoolForkJoinsAllocateNothing) {
+  // The VGG6 step's chunk counts (3 and 14), and a fork/join nested inside
+  // each chunk of another: the join state lives on the forking caller's
+  // stack and the callable is passed by reference.
+  common::ThreadPool* pool = &common::global_pool();
+  std::atomic<std::size_t> items{0};
+  const auto count = [&](std::size_t, std::size_t lo, std::size_t hi) {
+    items.fetch_add(hi - lo);
+  };
+  const auto nested = [&](std::size_t, std::size_t, std::size_t) {
+    common::parallel_for_chunks(pool, 0, 14, 14, count);
+  };
+  const auto fork_joins = [&] {
+    common::parallel_for_chunks(pool, 0, 3, 3, count);
+    common::parallel_for_chunks(pool, 0, 14, 14, count);
+    common::parallel_for_chunks(pool, 0, 3, 3, nested);
+  };
+  fork_joins();  // warm-up
+  for (int rep = 0; rep < 16; ++rep) {
+    SCOPED_TRACE(::testing::Message() << "rep " << rep);
+    EXPECT_EQ(allocations_in(fork_joins), 0u);
+  }
+  EXPECT_EQ(items.load(), 17u * (3 + 14 + 3 * 14));
 }
 
 }  // namespace

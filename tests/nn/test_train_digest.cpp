@@ -8,7 +8,8 @@
 // set (3x16x16), batch 20 with a ragged tail batch, plain SGD and momentum
 // with weight decay; plus a short Table III-shaped FedAvg run (Testbed II,
 // LeNet, Fed-LBAP shares) at parallelism 1 and 4, which must pin the same
-// bits.
+// bits, and a VGG6 FedAvg round at parallelism 4, where client lanes and the
+// conv layers' chunks fork on the same pool.
 
 #include <gtest/gtest.h>
 
@@ -84,18 +85,12 @@ TEST(TrainDigest, Vgg6CifarMomentumWeightDecay) {
   EXPECT_EQ(train_digest({Arch::kVgg6, kMomentumDecay}, 130), 0x0fe26156c8925961ULL);
 }
 
-/// Table III in miniature: the coordinator's job builder (Testbed II phones,
-/// LeNet on mnist-like data, Fed-LBAP shares) and FedAvgRunner::run.
-std::uint64_t fedavg_digest(std::size_t parallelism) {
-  coord::TrainRunSpec spec;
-  spec.dataset = "mnist";
+/// coord::build_train_job on Testbed II phones with Fed-LBAP shares, then
+/// FedAvgRunner::run.
+std::uint64_t fedavg_digest(coord::TrainRunSpec spec, std::size_t parallelism) {
   spec.testbed = 2;
-  spec.model = "LeNet";
   spec.policy = "fed-lbap";
-  spec.samples = 1200;
-  spec.rounds = 2;
   spec.parallelism = parallelism;
-  spec.seed = 94;
   const coord::TrainJob job = coord::build_train_job(spec, nullptr);
   fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc, job.phones,
                           device::NetworkType::kWifi, job.config);
@@ -103,9 +98,25 @@ std::uint64_t fedavg_digest(std::size_t parallelism) {
   return digest_of(runner.global_model().flat_params());
 }
 
-TEST(TrainDigest, Table3FedAvgSerial) { EXPECT_EQ(fedavg_digest(1), 0xafe3ed7860637efcULL); }
+/// Table III in miniature: LeNet on mnist-like data.
+coord::TrainRunSpec table3() {
+  return {.dataset = "mnist", .model = "LeNet", .samples = 1200, .rounds = 2, .seed = 94};
+}
 
-TEST(TrainDigest, Table3FedAvgFourLanes) { EXPECT_EQ(fedavg_digest(4), 0xafe3ed7860637efcULL); }
+TEST(TrainDigest, Table3FedAvgSerial) {
+  EXPECT_EQ(fedavg_digest(table3(), 1), 0xafe3ed7860637efcULL);
+}
+
+TEST(TrainDigest, Table3FedAvgFourLanes) {
+  EXPECT_EQ(fedavg_digest(table3(), 4), 0xafe3ed7860637efcULL);
+}
+
+TEST(TrainDigest, Vgg6FedAvgFourLanes) {
+  // The same bits as a serial run (0x57df71745d10e2d6 at parallelism 1 too).
+  const coord::TrainRunSpec vgg6{
+      .dataset = "cifar", .model = "VGG6", .samples = 600, .rounds = 1, .seed = 95};
+  EXPECT_EQ(fedavg_digest(vgg6, 4), 0x57df71745d10e2d6ULL);
+}
 
 }  // namespace
 }  // namespace fedsched::nn
