@@ -250,8 +250,8 @@ void BM_Im2col(benchmark::State& state) {
 BENCHMARK(BM_Im2col)->RangeMultiplier(2)->Range(8, 64);
 
 void BM_Im2colBatch(benchmark::State& state) {
-  // Batch-level unfold (the blocked Conv2d path): whole minibatch into one
-  // [patch, batch*oh*ow] matrix.
+  // The batch-level unfold Conv2d runs: each sample padded, then unfolded
+  // into its column slice of one [patch, batch*oh*ow] matrix.
   tensor::ops::Conv2dGeometry g;
   g.in_channels = 8;
   g.in_h = g.in_w = static_cast<std::size_t>(state.range(0));
@@ -259,11 +259,20 @@ void BM_Im2colBatch(benchmark::State& state) {
   g.pad = 1;
   common::Rng rng(3);
   const std::size_t batch = 20;
-  const Tensor images = Tensor::randn({batch, g.in_channels * g.in_h * g.in_w}, rng);
-  Tensor cols({g.patch_size(), batch * g.out_h() * g.out_w()});
+  const std::size_t features = g.in_channels * g.in_h * g.in_w;
+  const std::size_t spatial = g.out_h() * g.out_w();
+  const Tensor images = Tensor::randn({batch, features}, rng);
+  Tensor cols({g.patch_size(), batch * spatial});
+  std::vector<float> padded(tensor::ops::padded_size(g));
   for (auto _ : state) {
-    tensor::ops::im2col_batch(images, g, cols);
+    for (std::size_t s = 0; s < batch; ++s) {
+      tensor::ops::pad_image(images.data().subspan(s * features, features), g,
+                             padded.data());
+      tensor::ops::unfold_padded(padded.data(), g, cols.raw() + s * spatial,
+                                 batch * spatial);
+    }
     benchmark::DoNotOptimize(cols.raw());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
@@ -286,8 +295,6 @@ BENCHMARK(BM_LeNetForward);
 void BM_LeNetTrainBatch(benchmark::State& state) {
   common::Rng rng(5);
   nn::ModelSpec spec;
-  spec.kernels = state.range(0) ? tensor::ops::KernelPolicy::kBlocked
-                                : tensor::ops::KernelPolicy::kReference;
   nn::Model model = nn::build_model(spec, rng);
   nn::Sgd sgd({.learning_rate = 0.02f, .momentum = 0.9f});
   const auto ds = data::generate_balanced(data::mnist_like(), 20, 6);
@@ -299,7 +306,7 @@ void BM_LeNetTrainBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20);
 }
-BENCHMARK(BM_LeNetTrainBatch)->Arg(0)->Arg(1);  // 0 = reference, 1 = blocked
+BENCHMARK(BM_LeNetTrainBatch);
 
 void BM_Vgg6TrainBatch(benchmark::State& state) {
   common::Rng rng(8);
@@ -308,8 +315,6 @@ void BM_Vgg6TrainBatch(benchmark::State& state) {
                      .in_channels = cfg.channels,
                      .in_h = cfg.height,
                      .in_w = cfg.width};
-  spec.kernels = state.range(0) ? tensor::ops::KernelPolicy::kBlocked
-                                : tensor::ops::KernelPolicy::kReference;
   nn::Model model = nn::build_model(spec, rng);
   nn::Sgd sgd({.learning_rate = 0.02f, .momentum = 0.9f});
   const auto ds = data::generate_balanced(cfg, 20, 9);
@@ -321,7 +326,7 @@ void BM_Vgg6TrainBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20);
 }
-BENCHMARK(BM_Vgg6TrainBatch)->Arg(0)->Arg(1);  // 0 = reference, 1 = blocked
+BENCHMARK(BM_Vgg6TrainBatch);
 
 void BM_DeviceSimulatedEpoch(benchmark::State& state) {
   // Host cost of simulating one 6K-sample epoch (should be microseconds-ms).

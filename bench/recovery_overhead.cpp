@@ -87,7 +87,6 @@ ModeResult run_mode(const Setup& s, std::size_t rounds, bool recovery,
   fl::FlConfig config;
   config.rounds = rounds;
   config.seed = 63;
-  config.idle_between_rounds_s = 0.0;  // no cooling: drift is the point
   config.faults = fault_mix();
   if (recovery) {
     config.reschedule.policy = fl::health::ReschedulePolicy::kLbap;

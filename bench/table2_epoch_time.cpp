@@ -40,14 +40,12 @@ std::string cell(double total_s, double comm_s) {
   return buf;
 }
 
-/// Host seconds for one real train_epoch (400 MNIST-like samples, batch 20)
-/// under the given kernel policy. Grounds the device simulator's *simulated*
-/// epoch times against what the host kernels actually achieve.
-double host_epoch_seconds(tensor::ops::KernelPolicy policy) {
+/// Host seconds for one real train_epoch (400 MNIST-like samples, batch 20).
+/// Grounds the device simulator's *simulated* epoch times against what the
+/// host kernels actually achieve.
+double host_epoch_seconds() {
   common::Rng rng(20);
-  nn::ModelSpec spec;
-  spec.kernels = policy;
-  nn::Model model = nn::build_model(spec, rng);
+  nn::Model model = nn::build_model(nn::ModelSpec{}, rng);
   nn::Sgd sgd({.learning_rate = 0.02f, .momentum = 0.9f});
   const auto ds = data::generate_balanced(data::mnist_like(), 400, 21);
   std::vector<std::size_t> idx(ds.size());
@@ -58,29 +56,17 @@ double host_epoch_seconds(tensor::ops::KernelPolicy policy) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Emits one kernel_calibration event per policy plus the blocked/reference
-/// host speedup, so the JSONL stream records which kernel family produced
-/// this run's calibration.
+/// Emits one kernel_calibration event: the host seconds of that epoch.
 void emit_kernel_calibration(obs::TraceWriter& jsonl) {
-  const double reference_s =
-      host_epoch_seconds(tensor::ops::KernelPolicy::kReference);
-  const double blocked_s = host_epoch_seconds(tensor::ops::KernelPolicy::kBlocked);
-  for (const auto policy : {tensor::ops::KernelPolicy::kReference,
-                            tensor::ops::KernelPolicy::kBlocked}) {
-    common::JsonObject ev;
-    ev.field("ev", "kernel_calibration")
-        .field("model", "LeNet")
-        .field("samples", 400)
-        .field("batch", 20)
-        .field("kernels", tensor::ops::kernel_policy_name(policy))
-        .field("host_epoch_s",
-               policy == tensor::ops::KernelPolicy::kBlocked ? blocked_s : reference_s)
-        .field("host_speedup", reference_s / blocked_s);
-    jsonl.write(ev);
-  }
-  std::printf("host kernel calibration: LeNet epoch %.3fs blocked / %.3fs reference"
-              " (%.2fx)\n\n",
-              blocked_s, reference_s, reference_s / blocked_s);
+  const double host_s = host_epoch_seconds();
+  common::JsonObject ev;
+  ev.field("ev", "kernel_calibration")
+      .field("model", "LeNet")
+      .field("samples", 400)
+      .field("batch", 20)
+      .field("host_epoch_s", host_s);
+  jsonl.write(ev);
+  std::printf("host kernel calibration: LeNet epoch %.3fs\n\n", host_s);
 }
 
 }  // namespace

@@ -157,8 +157,15 @@ fl::FaultConfig fault_config_from(const Args& args) {
   return faults;
 }
 
+/// --deadline: seconds > 0; absent (or inf) = no deadline. The library
+/// rejects the same values, but without naming the flag.
 double deadline_from(const Args& args) {
-  return args.has("deadline") ? args.get_double("deadline", 0.0) : fl::kNoDeadline;
+  if (!args.has("deadline")) return fl::kNoDeadline;
+  const double deadline = args.get_double("deadline", 0.0);
+  if (!(deadline > 0.0)) {
+    throw std::invalid_argument("--deadline must be > 0, got " + args.get("deadline", ""));
+  }
+  return deadline;
 }
 
 // Shared --health-* flags. Defaults mirror HealthConfig so a flagless run and

@@ -345,11 +345,6 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return array_;
 }
 
-const std::map<std::string, JsonValue>& JsonValue::as_object() const {
-  if (kind_ != Kind::kObject) kind_error("object", kind_);
-  return object_;
-}
-
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   const auto it = object_.find(key);

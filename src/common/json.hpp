@@ -75,12 +75,8 @@ class JsonValue {
   JsonValue() = default;
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
   [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::kObject; }
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }
-  [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
-  [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
 
   /// Typed accessors; throw std::runtime_error on a kind mismatch so protocol
   /// code gets one uniform "malformed message" failure mode.
@@ -88,7 +84,6 @@ class JsonValue {
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
-  [[nodiscard]] const std::map<std::string, JsonValue>& as_object() const;
 
   /// Object member lookup: nullptr when absent (or not an object).
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
@@ -100,7 +95,6 @@ class JsonValue {
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
 
-  static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool v);
   static JsonValue make_number(double v);
   static JsonValue make_string(std::string v);

@@ -16,7 +16,6 @@ class Stopwatch {
   [[nodiscard]] double seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -78,21 +78,8 @@ EpochSimulation simulate_epoch(const std::vector<device::PhoneModel>& phones,
   if (phones.size() != sample_counts.size()) {
     throw std::invalid_argument("simulate_epoch: phones/counts size mismatch");
   }
-  EpochSimulation sim;
-  sim.client_seconds.resize(phones.size(), 0.0);
-  double sum = 0.0;
-  std::size_t active = 0;
-  for (std::size_t u = 0; u < phones.size(); ++u) {
-    if (sample_counts[u] == 0) continue;
-    device::Device dev(phones[u], network);
-    const double t = dev.comm_seconds(model) + dev.train(model, sample_counts[u]);
-    sim.client_seconds[u] = t;
-    sim.makespan = std::max(sim.makespan, t);
-    sum += t;
-    ++active;
-  }
-  sim.mean = active ? sum / static_cast<double>(active) : 0.0;
-  return sim;
+  return simulate_epoch_faulty(phones, model, network, sample_counts, fl::FaultConfig{})
+      .epoch;
 }
 
 FaultyEpochSimulation simulate_epoch_faulty(
@@ -102,6 +89,9 @@ FaultyEpochSimulation simulate_epoch_faulty(
     obs::TraceWriter* trace) {
   if (phones.size() != sample_counts.size()) {
     throw std::invalid_argument("simulate_epoch_faulty: phones/counts size mismatch");
+  }
+  if (std::isnan(deadline_s) || deadline_s <= 0.0) {
+    throw std::invalid_argument("simulate_epoch_faulty: deadline_s must be > 0");
   }
   const bool tracing = trace != nullptr && trace->enabled();
   const fl::FaultInjector injector(faults, seed);

@@ -39,7 +39,8 @@ struct EpochSimulation {
   double mean = 0.0;
 };
 
-/// Run one epoch on fresh devices with the given per-user sample counts.
+/// Run one epoch on fresh devices with the given per-user sample counts:
+/// simulate_epoch_faulty's fault-free, deadline-free epoch.
 [[nodiscard]] EpochSimulation simulate_epoch(
     const std::vector<device::PhoneModel>& phones, const device::ModelDesc& model,
     device::NetworkType network, const std::vector<std::size_t>& sample_counts);
@@ -56,10 +57,10 @@ struct FaultyEpochSimulation {
 
 /// simulate_epoch under a fault model: same device ground truth, but each
 /// client's round passes through a fl::FaultInjector seeded with `seed` (as
-/// round 0), and `deadline_s` caps the makespan when anyone drops. The
-/// fault-free config reproduces simulate_epoch exactly. A non-null `trace`
-/// receives one `epoch_client` event per participating client (client order)
-/// and a closing `epoch_end` event.
+/// round 0), and `deadline_s` caps the makespan when anyone drops. A NaN or
+/// non-positive `deadline_s` throws std::invalid_argument; infinity means no
+/// deadline. A non-null `trace` receives one `epoch_client` event per
+/// participating client (client order) and a closing `epoch_end` event.
 [[nodiscard]] FaultyEpochSimulation simulate_epoch_faulty(
     const std::vector<device::PhoneModel>& phones, const device::ModelDesc& model,
     device::NetworkType network, const std::vector<std::size_t>& sample_counts,

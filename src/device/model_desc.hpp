@@ -26,7 +26,6 @@ struct ModelDesc {
   [[nodiscard]] std::size_t total_params() const noexcept {
     return conv_params + dense_params;
   }
-  [[nodiscard]] double total_mmacs() const noexcept { return conv_mmacs + dense_mmacs; }
 };
 
 /// The paper's LeNet: 205K parameters, 2.5 MB serialized.

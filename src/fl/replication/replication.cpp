@@ -7,16 +7,6 @@
 
 namespace fedsched::fl::replication {
 
-const char* replication_policy_name(ReplicationPolicy policy) noexcept {
-  switch (policy) {
-    case ReplicationPolicy::kOff:
-      return "off";
-    case ReplicationPolicy::kRisk:
-      return "risk";
-  }
-  return "unknown";
-}
-
 void ReplicationConfig::validate(std::size_t n_clients) const {
   if (!enabled()) return;
   if (budget_per_round == 0) {

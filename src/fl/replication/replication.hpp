@@ -47,8 +47,6 @@ enum class ReplicationPolicy : std::uint8_t {
   kRisk,     // SEAS-style: replica counts scale with per-client risk scores
 };
 
-[[nodiscard]] const char* replication_policy_name(ReplicationPolicy policy) noexcept;
-
 struct ReplicationConfig {
   ReplicationPolicy policy = ReplicationPolicy::kOff;
   /// Max replicas assigned per round across the whole fleet.

@@ -35,6 +35,9 @@ FedAvgRunner::FedAvgRunner(const data::Dataset& train, const data::Dataset& test
       config_(config),
       executor_(model_spec, config.parallelism) {
   if (phones_.empty()) throw std::invalid_argument("FedAvgRunner: no devices");
+  if (std::isnan(config_.deadline_s) || config_.deadline_s <= 0.0) {
+    throw std::invalid_argument("FedAvgRunner: deadline_s must be > 0");
+  }
   common::Rng init_rng(config_.seed);
   global_ = nn::build_model(model_spec, init_rng);
 }
@@ -452,18 +455,13 @@ void FedAvgSession::step() {
   result_.replica_log.insert(result_.replica_log.end(), resolutions.begin(),
                              resolutions.end());
   result_.rounds.push_back(std::move(record));
-
-
-  if (config.idle_between_rounds_s > 0.0) {
-    for (auto& dev : devices_) dev.idle(config.idle_between_rounds_s);
-  }
   ++next_round_;
 }
 
 checkpoint::RunState FedAvgSession::checkpoint() {
-  // Taken after the round's full effects (idle cooling included) so a
-  // resumed session continues the exact thermal trajectory. The trace event
-  // is written first so it lands inside the saved prefix.
+  // Taken after the round's full effects so a resumed session continues the
+  // exact thermal trajectory. The trace event is written first so it lands
+  // inside the saved prefix.
   obs::TraceWriter& trace = this->trace();
   trace_checkpoint(trace, next_round_, result_.total_seconds);
   checkpoint::RunState state;

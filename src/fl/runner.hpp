@@ -52,13 +52,11 @@ struct FlConfig {
   std::uint64_t seed = 1;
   /// Evaluate test accuracy every round (slower) or only at the end.
   bool evaluate_each_round = false;
-  /// Idle time between rounds (devices cool down), seconds of simulated time.
-  double idle_between_rounds_s = 0.0;
   /// Lanes training clients concurrently on the process pool: 0 = hardware
   /// concurrency, 1 = inline. Results are identical for every value (the
   /// determinism contract; see docs/API.md).
   std::size_t parallelism = 0;
-  /// Round deadline (simulated seconds): the server aggregates whatever
+  /// Round deadline (simulated seconds, > 0): the server aggregates whatever
   /// arrived by then and drops the rest. Infinity = wait for everyone.
   double deadline_s = kNoDeadline;
   /// Fault injection (crash / battery death / network stall / transient

@@ -126,6 +126,15 @@ FleetSimulator::FleetSimulator(FleetState state, FleetSimConfig config)
   if (config_.group_size == 0) {
     throw std::invalid_argument("FleetSimulator: zero group size");
   }
+  if (std::isnan(config_.deadline_s) || config_.deadline_s <= 0.0) {
+    throw std::invalid_argument("FleetSimulator: deadline_s must be > 0");
+  }
+  if (!(config_.dropout_prob >= 0.0 && config_.dropout_prob <= 1.0)) {
+    throw std::invalid_argument("FleetSimulator: dropout_prob must be in [0, 1]");
+  }
+  if (!(config_.battery_floor_soc >= 0.0 && config_.battery_floor_soc < 1.0)) {
+    throw std::invalid_argument("FleetSimulator: battery_floor_soc must be in [0, 1)");
+  }
 }
 
 FleetRoundResult FleetSimulator::run_round(

@@ -76,11 +76,14 @@ namespace fedsched::fleet {
 
 struct FleetSimConfig {
   std::size_t shard_size = 100;
-  /// Round deadline in simulated seconds; infinity = wait for the straggler.
+  /// Round deadline in simulated seconds (> 0); infinity = wait for the
+  /// straggler.
   double deadline_s = std::numeric_limits<double>::infinity();
-  /// Per-(round, client) crash probability, drawn from a stateless hash.
+  /// Per-(round, client) crash probability in [0, 1], drawn from a stateless
+  /// hash.
   double dropout_prob = 0.0;
-  /// State-of-charge floor below which the OS kills the training app.
+  /// State-of-charge floor in [0, 1) below which the OS kills the training
+  /// app.
   double battery_floor_soc = 0.05;
   /// Dimension of the synthetic client updates.
   std::size_t update_dim = 32;

@@ -55,10 +55,9 @@ constexpr auto kChannelSums = channel_sums_table(std::make_index_sequence<kMaxCh
 }  // namespace
 
 Conv2d::Conv2d(ops::Conv2dGeometry geometry, std::size_t out_channels,
-               common::Rng& rng, ops::KernelPolicy policy)
+               common::Rng& rng)
     : geometry_(geometry),
       out_channels_(out_channels),
-      policy_(policy),
       weight_(Tensor::randn({out_channels, geometry.patch_size()}, rng,
                             std::sqrt(2.0f / static_cast<float>(geometry.patch_size())))),
       bias_({out_channels}),
@@ -85,28 +84,6 @@ void Conv2d::dispatch_chunks(std::size_t n, const Fn& fn) const {
                               0, n, sample_chunks(n), fn);
 }
 
-const Tensor& Conv2d::forward(const Tensor& input, bool train) {
-  const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  if (input.rank() != 2 || input.dim(1) != in_features) {
-    throw std::invalid_argument("Conv2d::forward: bad input shape " +
-                                tensor::shape_to_string(input.shape()));
-  }
-  if (train) batch_ = input.dim(0);
-  return policy_ == ops::KernelPolicy::kBlocked ? forward_blocked(input, train)
-                                                : forward_reference(input, train);
-}
-
-const Tensor& Conv2d::backward(const Tensor& grad_output) {
-  if (batch_ == 0) throw std::logic_error("Conv2d::backward before forward(train=true)");
-  const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
-  if (grad_output.rank() != 2 || grad_output.dim(0) != batch_ ||
-      grad_output.dim(1) != out_channels_ * spatial) {
-    throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
-  }
-  return policy_ == ops::KernelPolicy::kBlocked ? backward_blocked(grad_output)
-                                                : backward_reference(grad_output);
-}
-
 void Conv2d::unfold_sample(std::size_t s, std::size_t n, bool kmajor) {
   const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
@@ -120,9 +97,14 @@ void Conv2d::unfold_sample(std::size_t s, std::size_t n, bool kmajor) {
   }
 }
 
-const Tensor& Conv2d::forward_blocked(const Tensor& input, bool train) {
+const Tensor& Conv2d::forward(const Tensor& input, bool train) {
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
+  if (input.rank() != 2 || input.dim(1) != in_features) {
+    throw std::invalid_argument("Conv2d::forward: bad input shape " +
+                                tensor::shape_to_string(input.shape()));
+  }
   const std::size_t n = input.dim(0);
+  if (train) batch_ = n;
   const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
   const std::size_t ns = n * spatial;
@@ -164,10 +146,16 @@ const Tensor& Conv2d::forward_blocked(const Tensor& input, bool train) {
   return output_;
 }
 
-const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
+const Tensor& Conv2d::backward(const Tensor& grad_output) {
+  if (batch_ == 0) throw std::logic_error("Conv2d::backward before forward(train=true)");
   const std::size_t n = batch_;
   const std::size_t patch = geometry_.patch_size();
   const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
+  if (grad_output.rank() != 2 || grad_output.dim(0) != n ||
+      grad_output.dim(1) != out_channels_ * spatial) {
+    throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
+  }
+  const std::size_t ns = n * spatial;
   const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   const std::size_t sample_stride = out_channels_ * spatial;
   const float* dy = grad_output.raw();
@@ -177,7 +165,6 @@ const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
       throw std::logic_error(
           "Conv2d::backward: columns dropped and the training batch overwritten");
     }
-    const std::size_t ns = n * spatial;
     columns_.resize({patch, ns});
     columns_kmajor_.resize({ns, tensor::gemm::kmajor_stride(patch)});
     dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
@@ -191,7 +178,7 @@ const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
   // product lands in weight_step_ first: grad_weight_ + (dY cols^T) keeps
   // the product's own k grouping (and turns a -0 product into +0).
   weight_step_.resize({out_channels_, patch});
-  tensor::gemm::gemm_conv_dw(out_channels_, patch, n * spatial, dy, spatial,
+  tensor::gemm::gemm_conv_dw(out_channels_, patch, ns, dy, spatial,
                              columns_kmajor_.raw(), columns_kmajor_.dim(1),
                              weight_step_.raw(), &gemm_ws_, &common::global_pool());
   grad_weight_ += weight_step_;
@@ -207,7 +194,6 @@ const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
 
   // dX: dcols = W^T dY over the whole batch (dY read in place), then each
   // sample folds its column slice through a padded scratch image.
-  const std::size_t ns = n * spatial;
   const std::size_t padded = ops::padded_size(geometry_);
   grad_cols_.resize({patch, ns});
   tensor::gemm::gemm_conv_dx(patch, ns, out_channels_, weight_.raw(), dy, spatial,
@@ -223,92 +209,6 @@ const Tensor& Conv2d::backward_blocked(const Tensor& grad_output) {
     }
   });
   return input_grad_;
-}
-
-const Tensor& Conv2d::forward_reference(const Tensor& input, bool train) {
-  const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  const std::size_t n = input.dim(0);
-  const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
-
-  if (train) cached_input_ = input;
-  Tensor& out = output_;
-  out.resize({n, out_channels_ * spatial});
-  dispatch_chunks(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    Tensor columns({geometry_.patch_size(), spatial});
-    Tensor result({out_channels_, spatial});
-    for (std::size_t s = lo; s < hi; ++s) {
-      ops::im2col(input.data().subspan(s * in_features, in_features), geometry_, columns);
-      ops::matmul_ref(weight_, columns, result);
-      float* dst = out.raw() + s * out_channels_ * spatial;
-      const float* src = result.raw();
-      const float* pb = bias_.raw();
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        for (std::size_t p = 0; p < spatial; ++p) {
-          dst[c * spatial + p] = src[c * spatial + p] + pb[c];
-        }
-      }
-    }
-  });
-  return out;
-}
-
-const Tensor& Conv2d::backward_reference(const Tensor& grad_output) {
-  const std::size_t n = cached_input_.dim(0);
-  const std::size_t spatial = geometry_.out_h() * geometry_.out_w();
-  const std::size_t in_features = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-
-  Tensor& dx = input_grad_;
-  if (input_grad()) {
-    dx.resize({n, in_features});
-    dx.zero();
-  }
-  // Per-chunk weight/bias gradient partials: each chunk sums its own samples,
-  // then the partials reduce in chunk order. Since chunk boundaries depend
-  // only on n, the accumulation order is the same for any thread count.
-  const std::size_t chunks = sample_chunks(n);
-  std::vector<Tensor> dw_partial;
-  std::vector<Tensor> db_partial;
-  dw_partial.reserve(chunks);
-  db_partial.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    dw_partial.emplace_back(tensor::Shape{out_channels_, geometry_.patch_size()});
-    db_partial.emplace_back(tensor::Shape{out_channels_});
-  }
-
-  dispatch_chunks(n, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-    Tensor columns({geometry_.patch_size(), spatial});
-    Tensor grad_mat({out_channels_, spatial});
-    Tensor dcols({geometry_.patch_size(), spatial});
-    Tensor dw({out_channels_, geometry_.patch_size()});
-    for (std::size_t s = lo; s < hi; ++s) {
-      // Reconstruct the im2col matrix of this sample (cheaper than caching all).
-      ops::im2col(cached_input_.data().subspan(s * in_features, in_features), geometry_,
-                  columns);
-      const float* g = grad_output.raw() + s * out_channels_ * spatial;
-      std::copy(g, g + out_channels_ * spatial, grad_mat.raw());
-
-      // dW += dY * cols^T ; db += row sums of dY ; dcols = W^T dY.
-      ops::matmul_nt_ref(grad_mat, columns, dw);
-      dw_partial[chunk] += dw;
-      float* pb = db_partial[chunk].raw();
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        const float* row = g + c * spatial;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < spatial; ++p) acc += row[p];
-        pb[c] += acc;
-      }
-      if (!input_grad()) continue;
-      ops::matmul_tn_ref(weight_, grad_mat, dcols);
-      auto img = dx.data().subspan(s * in_features, in_features);
-      ops::col2im(dcols, geometry_, img);
-    }
-  });
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    grad_weight_ += dw_partial[c];
-    grad_bias_ += db_partial[c];
-  }
-  return dx;
 }
 
 std::vector<Param> Conv2d::params() {

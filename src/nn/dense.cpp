@@ -10,11 +10,9 @@ namespace fedsched::nn {
 using tensor::Tensor;
 namespace ops = tensor::ops;
 
-Dense::Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng,
-             ops::KernelPolicy policy)
+Dense::Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng)
     : in_(in_features),
       out_(out_features),
-      policy_(policy),
       weight_(Tensor::randn({out_features, in_features}, rng,
                             std::sqrt(2.0f / static_cast<float>(in_features)))),
       bias_({out_features}),
@@ -32,11 +30,7 @@ const Tensor& Dense::forward(const Tensor& input, bool train) {
   }
   if (train) cached_input_ = input;
   output_.resize({input.dim(0), out_});
-  if (policy_ == ops::KernelPolicy::kBlocked) {
-    ops::matmul_nt(input, weight_, output_, gemm_ws_);
-  } else {
-    ops::matmul_nt_ref(input, weight_, output_);
-  }
+  ops::matmul_nt(input, weight_, output_, gemm_ws_);
   ops::add_row_bias(output_, bias_);
   return output_;
 }
@@ -51,13 +45,8 @@ const Tensor& Dense::backward(const Tensor& grad_output) {
   }
   // dW = dY^T X ; db = column sums of dY ; dX = dY W. Each parameter
   // gradient is computed whole, then added: grad + (this batch's sum).
-  const bool blocked = policy_ == ops::KernelPolicy::kBlocked;
   weight_step_.resize({out_, in_});
-  if (blocked) {
-    ops::matmul_tn(grad_output, cached_input_, weight_step_, gemm_ws_);
-  } else {
-    ops::matmul_tn_ref(grad_output, cached_input_, weight_step_);
-  }
+  ops::matmul_tn(grad_output, cached_input_, weight_step_, gemm_ws_);
   grad_weight_ += weight_step_;
   bias_step_.resize({out_});
   ops::sum_rows(grad_output, bias_step_);
@@ -65,11 +54,7 @@ const Tensor& Dense::backward(const Tensor& grad_output) {
   if (!input_grad()) return input_grad_;
 
   input_grad_.resize({n, in_});
-  if (blocked) {
-    ops::matmul(grad_output, weight_, input_grad_, gemm_ws_);
-  } else {
-    ops::matmul_ref(grad_output, weight_, input_grad_);
-  }
+  ops::matmul(grad_output, weight_, input_grad_, gemm_ws_);
   return input_grad_;
 }
 

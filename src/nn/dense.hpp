@@ -1,10 +1,10 @@
 #pragma once
 // Fully connected layer: y = x W^T + b.
 //
-// The KernelPolicy selects between the blocked GEMM engine (default) and the
-// naive reference kernels; both produce width-invariant bits (see
-// tensor/ops.hpp). The layer owns its output, its input copy, its gradient
-// scratch and a GemmWorkspace, so steady-state training reuses every buffer.
+// Every product runs on the blocked GEMM engine, whose bits do not depend on
+// the thread-pool width (see tensor/ops.hpp). The layer owns its output, its
+// input copy, its gradient scratch and a GemmWorkspace, so steady-state
+// training reuses every buffer.
 
 #include "nn/layer.hpp"
 #include "tensor/ops.hpp"
@@ -14,8 +14,7 @@ namespace fedsched::nn {
 class Dense final : public Layer {
  public:
   /// He-style initialization scaled by fan-in.
-  Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng,
-        tensor::ops::KernelPolicy policy = tensor::ops::KernelPolicy::kBlocked);
+  Dense(std::size_t in_features, std::size_t out_features, common::Rng& rng);
 
   [[nodiscard]] const tensor::Tensor& forward(const tensor::Tensor& input,
                                               bool train) override;
@@ -25,14 +24,9 @@ class Dense final : public Layer {
   [[nodiscard]] std::size_t output_features(std::size_t input_features) const override;
   [[nodiscard]] double macs_per_sample() const override;
 
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
-  [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
-  [[nodiscard]] tensor::ops::KernelPolicy policy() const noexcept { return policy_; }
-
  private:
   std::size_t in_;
   std::size_t out_;
-  tensor::ops::KernelPolicy policy_;
   tensor::Tensor weight_;       // [out, in]
   tensor::Tensor bias_;         // [out]
   tensor::Tensor grad_weight_;  // [out, in]

@@ -96,7 +96,7 @@ std::string Model::summary() const {
   std::ostringstream os;
   os << "Model(" << layers_.size() << " layers, " << param_count() << " params: "
      << param_count(ParamKind::kConv) << " conv / " << param_count(ParamKind::kDense)
-     << " dense, " << tensor::ops::kernel_policy_name(kernels_) << " kernels)\n";
+     << " dense)\n";
   for (const auto& layer : layers_) os << "  " << layer->name() << '\n';
   return os.str();
 }

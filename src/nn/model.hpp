@@ -9,18 +9,12 @@
 
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
-#include "tensor/ops.hpp"
 
 namespace fedsched::nn {
 
 class Model {
  public:
   Model() = default;
-  /// Records which kernel family the model's layers were built with (the
-  /// builders in nn/models.hpp construct every Conv2d/Dense with the same
-  /// policy they pass here).
-  explicit Model(tensor::ops::KernelPolicy kernels) : kernels_(kernels) {}
-
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
   Model(const Model&) = delete;
@@ -61,8 +55,6 @@ class Model {
   [[nodiscard]] double macs_per_sample(ParamKind kind) const noexcept;
   [[nodiscard]] double macs_per_sample() const noexcept;
 
-  [[nodiscard]] tensor::ops::KernelPolicy kernels() const noexcept { return kernels_; }
-
   [[nodiscard]] std::string summary() const;
 
   /// Fraction of rows whose argmax matches the label.
@@ -73,7 +65,6 @@ class Model {
  private:
   std::vector<LayerPtr> layers_;
   std::vector<Param> params_;
-  tensor::ops::KernelPolicy kernels_ = tensor::ops::KernelPolicy::kBlocked;
 };
 
 }  // namespace fedsched::nn

@@ -41,18 +41,17 @@ Model build_lenet(const ModelSpec& spec, common::Rng& rng) {
   const std::size_t c2 = 12 * spec.width;
   const std::size_t hidden = 48 * spec.width;
   const std::size_t h = spec.in_h, w = spec.in_w;
-  const auto kp = spec.kernels;
 
-  Model model(kp);
-  model.add(std::make_unique<Conv2d>(geom(spec.in_channels, h, w, 3, 1), c1, rng, kp));
+  Model model;
+  model.add(std::make_unique<Conv2d>(geom(spec.in_channels, h, w, 3, 1), c1, rng));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>(c1, h, w, 2));
-  model.add(std::make_unique<Conv2d>(geom(c1, h / 2, w / 2, 3, 1), c2, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(c1, h / 2, w / 2, 3, 1), c2, rng));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>(c2, h / 2, w / 2, 2));
-  model.add(std::make_unique<Dense>(c2 * (h / 4) * (w / 4), hidden, rng, kp));
+  model.add(std::make_unique<Dense>(c2 * (h / 4) * (w / 4), hidden, rng));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<Dense>(hidden, spec.classes, rng, kp));
+  model.add(std::make_unique<Dense>(hidden, spec.classes, rng));
   return model;
 }
 
@@ -63,40 +62,38 @@ Model build_vgg6(const ModelSpec& spec, common::Rng& rng) {
   const std::size_t c1 = 8 * spec.width;
   const std::size_t c2 = 16 * spec.width;
   const std::size_t h = spec.in_h, w = spec.in_w;
-  const auto kp = spec.kernels;
 
-  Model model(kp);
+  Model model;
   // Stage 1: two 3x3 convs + pool.
-  model.add(std::make_unique<Conv2d>(geom(spec.in_channels, h, w, 3, 1), c1, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(spec.in_channels, h, w, 3, 1), c1, rng));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<Conv2d>(geom(c1, h, w, 3, 1), c1, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(c1, h, w, 3, 1), c1, rng));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>(c1, h, w, 2));
   // Stage 2: two 3x3 convs + pool.
-  model.add(std::make_unique<Conv2d>(geom(c1, h / 2, w / 2, 3, 1), c2, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(c1, h / 2, w / 2, 3, 1), c2, rng));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<Conv2d>(geom(c2, h / 2, w / 2, 3, 1), c2, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(c2, h / 2, w / 2, 3, 1), c2, rng));
   model.add(std::make_unique<ReLU>());
   model.add(std::make_unique<MaxPool2d>(c2, h / 2, w / 2, 2));
   // Stage 3: one more conv, then the single dense head (paper's VGG6 = five
   // 3x3 conv layers + one densely connected layer).
-  model.add(std::make_unique<Conv2d>(geom(c2, h / 4, w / 4, 3, 1), c2, rng, kp));
+  model.add(std::make_unique<Conv2d>(geom(c2, h / 4, w / 4, 3, 1), c2, rng));
   model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<Dense>(c2 * (h / 4) * (w / 4), spec.classes, rng, kp));
+  model.add(std::make_unique<Dense>(c2 * (h / 4) * (w / 4), spec.classes, rng));
   return model;
 }
 
 Model build_mlp(std::size_t in_features, const std::vector<std::size_t>& hidden,
-                std::size_t classes, common::Rng& rng,
-                tensor::ops::KernelPolicy kernels) {
-  Model model(kernels);
+                std::size_t classes, common::Rng& rng) {
+  Model model;
   std::size_t features = in_features;
   for (std::size_t width : hidden) {
-    model.add(std::make_unique<Dense>(features, width, rng, kernels));
+    model.add(std::make_unique<Dense>(features, width, rng));
     model.add(std::make_unique<ReLU>());
     features = width;
   }
-  model.add(std::make_unique<Dense>(features, classes, rng, kernels));
+  model.add(std::make_unique<Dense>(features, classes, rng));
   return model;
 }
 

@@ -8,6 +8,10 @@
 // layer pattern (conv-pool stacks followed by dense), same conv-heavy vs
 // dense-heavy split, smaller widths. The full-size parameter counts used by
 // the *device simulator* live in device/model_desc.cpp.
+//
+// Every layer the builders add runs the one kernel family in tensor/ops.hpp
+// (blocked GEMM, branch-free unfold/fold), so a ModelSpec fixes the topology
+// and nothing else.
 
 #include "nn/model.hpp"
 
@@ -23,8 +27,6 @@ struct ModelSpec {
   std::size_t classes = 10;
   /// Multiplies every channel/hidden width (>=1). 1 is the scaled default.
   std::size_t width = 1;
-  /// Kernel family every Conv2d/Dense layer runs on (blocked = production).
-  tensor::ops::KernelPolicy kernels = tensor::ops::KernelPolicy::kBlocked;
 };
 
 [[nodiscard]] Model build_model(const ModelSpec& spec, common::Rng& rng);
@@ -37,10 +39,9 @@ struct ModelSpec {
 [[nodiscard]] Model build_vgg6(const ModelSpec& spec, common::Rng& rng);
 
 /// Plain MLP used by unit tests and the profiler's architecture sweep.
-[[nodiscard]] Model build_mlp(
-    std::size_t in_features, const std::vector<std::size_t>& hidden,
-    std::size_t classes, common::Rng& rng,
-    tensor::ops::KernelPolicy kernels = tensor::ops::KernelPolicy::kBlocked);
+[[nodiscard]] Model build_mlp(std::size_t in_features,
+                              const std::vector<std::size_t>& hidden,
+                              std::size_t classes, common::Rng& rng);
 
 [[nodiscard]] const char* arch_name(Arch arch) noexcept;
 

@@ -22,7 +22,6 @@ class Sgd {
   void step(Model& model);
 
   [[nodiscard]] const SgdConfig& config() const noexcept { return config_; }
-  void set_learning_rate(float lr) noexcept { config_.learning_rate = lr; }
 
   /// Momentum buffers flattened in parameter order — empty before the first
   /// step (or with momentum disabled). The optimizer half of a client's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 
@@ -48,65 +47,6 @@ GemmDims check_nt(const Tensor& a, const Tensor& b, const Tensor& out,
   return d;
 }
 
-/// Unfold one image into `columns` with an arbitrary destination row stride
-/// and column offset — shared by the per-sample and batch-level paths.
-void im2col_into(std::span<const float> image, const Conv2dGeometry& g, float* pc,
-                 std::size_t row_stride, std::size_t col_offset) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.in_channels; ++c) {
-    const float* plane = image.data() + c * g.in_h * g.in_w;
-    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* dst = pc + row * row_stride + col_offset;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          // Signed arithmetic: padding can take source coordinates negative.
-          const long long iy =
-              static_cast<long long>(oy * g.stride + ky) - static_cast<long long>(g.pad);
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const long long ix = static_cast<long long>(ox * g.stride + kx) -
-                                 static_cast<long long>(g.pad);
-            const bool inside = iy >= 0 && iy < static_cast<long long>(g.in_h) &&
-                                ix >= 0 && ix < static_cast<long long>(g.in_w);
-            dst[oy * ow + ox] =
-                inside ? plane[static_cast<std::size_t>(iy) * g.in_w +
-                               static_cast<std::size_t>(ix)]
-                       : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Fold one image's column slice back, accumulating — the adjoint of
-/// im2col_into with the same stride/offset addressing.
-void col2im_from(const float* pc, const Conv2dGeometry& g, std::span<float> image,
-                 std::size_t row_stride, std::size_t col_offset) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.in_channels; ++c) {
-    float* plane = image.data() + c * g.in_h * g.in_w;
-    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* src = pc + row * row_stride + col_offset;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const long long iy =
-              static_cast<long long>(oy * g.stride + ky) - static_cast<long long>(g.pad);
-          if (iy < 0 || iy >= static_cast<long long>(g.in_h)) continue;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const long long ix = static_cast<long long>(ox * g.stride + kx) -
-                                 static_cast<long long>(g.pad);
-            if (ix < 0 || ix >= static_cast<long long>(g.in_w)) continue;
-            plane[static_cast<std::size_t>(iy) * g.in_w + static_cast<std::size_t>(ix)] +=
-                src[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
-}
-
 /// dst[0, n) = src[0, n) for the short rows of the unfold and fold (a few
 /// floats each): four at a time, with no library call per row.
 inline void copy_row(const float* src, std::size_t n, float* dst) {
@@ -137,14 +77,6 @@ inline void add_row(const float* src, std::size_t n, float* dst) {
 }
 
 }  // namespace
-
-const char* kernel_policy_name(KernelPolicy policy) noexcept {
-  switch (policy) {
-    case KernelPolicy::kReference: return "reference";
-    case KernelPolicy::kBlocked: return "blocked";
-  }
-  return "?";
-}
 
 // --- blocked GEMM family -----------------------------------------------------
 
@@ -318,7 +250,29 @@ void im2col(std::span<const float> image, const Conv2dGeometry& g, Tensor& colum
   require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
               columns.dim(1) == oh * ow,
           "im2col: bad columns shape");
-  im2col_into(image, g, columns.raw(), oh * ow, 0);
+  float* dst = columns.raw();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = image.data() + c * g.in_h * g.in_w;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, dst += oh * ow) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          // Signed arithmetic: padding can take source coordinates negative.
+          const long long iy =
+              static_cast<long long>(oy * g.stride + ky) - static_cast<long long>(g.pad);
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const long long ix = static_cast<long long>(ox * g.stride + kx) -
+                                 static_cast<long long>(g.pad);
+            const bool inside = iy >= 0 && iy < static_cast<long long>(g.in_h) &&
+                                ix >= 0 && ix < static_cast<long long>(g.in_w);
+            dst[oy * ow + ox] =
+                inside ? plane[static_cast<std::size_t>(iy) * g.in_w +
+                               static_cast<std::size_t>(ix)]
+                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
 }
 
 void col2im(const Tensor& columns, const Conv2dGeometry& g, std::span<float> image) {
@@ -327,48 +281,26 @@ void col2im(const Tensor& columns, const Conv2dGeometry& g, std::span<float> ima
   require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
               columns.dim(1) == oh * ow,
           "col2im: bad columns shape");
-  col2im_from(columns.raw(), g, image, oh * ow, 0);
-}
-
-void im2col_batch_sample(std::span<const float> image, const Conv2dGeometry& g,
-                         std::size_t batch_n, std::size_t sample, Tensor& columns) {
-  const std::size_t spatial = g.out_h() * g.out_w();
-  require(image.size() == g.in_channels * g.in_h * g.in_w,
-          "im2col_batch_sample: image size mismatch");
-  require(sample < batch_n, "im2col_batch_sample: sample out of range");
-  require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
-              columns.dim(1) == batch_n * spatial,
-          "im2col_batch_sample: bad columns shape");
-  std::vector<float> padded(padded_size(g));
-  pad_image(image, g, padded.data());
-  unfold_padded(padded.data(), g, columns.raw() + sample * spatial, batch_n * spatial);
-}
-
-void im2col_batch(const Tensor& batch, const Conv2dGeometry& g, Tensor& columns) {
-  const std::size_t features = g.in_channels * g.in_h * g.in_w;
-  require(batch.rank() == 2 && batch.dim(1) == features,
-          "im2col_batch: bad batch shape");
-  const std::size_t n = batch.dim(0);
-  for (std::size_t s = 0; s < n; ++s) {
-    im2col_batch_sample(batch.data().subspan(s * features, features), g, n, s, columns);
+  const float* src = columns.raw();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    float* plane = image.data() + c * g.in_h * g.in_w;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, src += oh * ow) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          const long long iy =
+              static_cast<long long>(oy * g.stride + ky) - static_cast<long long>(g.pad);
+          if (iy < 0 || iy >= static_cast<long long>(g.in_h)) continue;
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const long long ix = static_cast<long long>(ox * g.stride + kx) -
+                                 static_cast<long long>(g.pad);
+            if (ix < 0 || ix >= static_cast<long long>(g.in_w)) continue;
+            plane[static_cast<std::size_t>(iy) * g.in_w + static_cast<std::size_t>(ix)] +=
+                src[oy * ow + ox];
+          }
+        }
+      }
+    }
   }
-}
-
-void col2im_batch_sample(const Tensor& columns, const Conv2dGeometry& g,
-                         std::size_t batch_n, std::size_t sample,
-                         std::span<float> image) {
-  const std::size_t spatial = g.out_h() * g.out_w();
-  require(image.size() == g.in_channels * g.in_h * g.in_w,
-          "col2im_batch_sample: image size mismatch");
-  require(sample < batch_n, "col2im_batch_sample: sample out of range");
-  require(columns.rank() == 2 && columns.dim(0) == g.patch_size() &&
-              columns.dim(1) == batch_n * spatial,
-          "col2im_batch_sample: bad columns shape");
-  std::vector<float> padded(padded_size(g));
-  fold_padded(columns.raw() + sample * spatial, batch_n * spatial, g, padded.data());
-  std::vector<float> folded(image.size());
-  crop_image(padded.data(), g, folded);
-  for (std::size_t i = 0; i < image.size(); ++i) image[i] += folded[i];
 }
 
 // --- branch-free unfold / fold ----------------------------------------------

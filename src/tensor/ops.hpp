@@ -1,19 +1,19 @@
 #pragma once
-// Dense kernels used by the nn layers: GEMM, im2col/col2im, reductions.
+// Dense kernels used by the nn layers: GEMM, the conv unfold/fold, reductions.
 //
 // All kernels take explicit output tensors (caller allocates) so the training
 // loop can reuse buffers across batches — important on the 512 MB heap the
 // paper's mobile app runs with, and it keeps per-batch cost flat, which the
 // performance profiler relies on.
 //
-// Two GEMM families live here:
-//   - matmul / matmul_tn / matmul_nt: the cache-blocked, register-tiled
-//     engine (tensor/gemm.hpp). Bit-identical run-to-run at any thread-pool
-//     width (fixed column chunking, no cross-chunk reductions).
-//   - matmul_ref / matmul_tn_ref / matmul_nt_ref: the naive triple-loop
-//     kernels, kept as the differential-testing oracle and as the
-//     KernelPolicy::kReference path of the nn layers.
-// Blocked and reference kernels agree within a few ULPs, and bitwise
+// The nn layers run one kernel family: the cache-blocked, register-tiled
+// GEMM engine behind matmul / matmul_tn / matmul_nt (tensor/gemm.hpp) and the
+// branch-free unfold/fold over zero-bordered images. Both are bit-identical
+// run-to-run at any thread-pool width (fixed column chunking, no cross-chunk
+// reductions). The naive triple loops matmul_ref / matmul_tn_ref /
+// matmul_nt_ref and the bounds-tested im2col / col2im stay as the oracles the
+// tests and bench/micro_kernels compare against; no layer calls them.
+// Blocked and reference GEMMs agree within a few ULPs, and bitwise
 // whenever k <= gemm::kKc: every forward and input-gradient product here.
 // Conv dW has k = batch * out_h * out_w (2880 for LeNet conv1 at batch 20),
 // past kKc; the bound is pinned by tests/tensor/test_gemm_differential.cpp.
@@ -25,13 +25,6 @@
 #include "tensor/tensor.hpp"
 
 namespace fedsched::tensor::ops {
-
-/// Selects the kernel family a layer runs on: kBlocked is the production
-/// path; kReference keeps the naive loops for differential testing and
-/// debugging. Plumbed through nn::ModelSpec / nn::Model construction.
-enum class KernelPolicy { kReference, kBlocked };
-
-[[nodiscard]] const char* kernel_policy_name(KernelPolicy policy) noexcept;
 
 /// Reusable GEMM packing buffers (see tensor/gemm.hpp). Layers own one per
 /// instance and pass it to every call, making steady-state training
@@ -99,7 +92,7 @@ void im2col(std::span<const float> image, const Conv2dGeometry& geometry, Tensor
 void col2im(const Tensor& columns, const Conv2dGeometry& geometry,
             std::span<float> image);
 
-// Branch-free unfold and fold (the blocked Conv2d path). They work on a
+// Branch-free unfold and fold (the Conv2d path). They work on a
 // zero-bordered copy of one image, [C, H + 2*pad, W + 2*pad] ("padded"), so
 // no source coordinate is ever out of range: each unfold row is a run of
 // out_w reads at a fixed stride and each fold row a run of out_w adds. The
@@ -116,42 +109,13 @@ void pad_image(std::span<const float> image, const Conv2dGeometry& geometry,
                float* padded);
 
 /// Unfold a padded image: row r = (c, ky, kx) of its [patch_size, out_h*out_w]
-/// matrix lands at columns + r * row_stride. (transpose_block turns it into
-/// the k-major layout the conv dW GEMM reads in place.)
+/// matrix lands at columns + r * row_stride. Conv2d unfolds sample s of an
+/// N-sample batch at columns + s*out_h*out_w with row_stride N*out_h*out_w,
+/// so the batch is one [patch_size, N*out_h*out_w] GEMM operand.
+/// (transpose_block turns it into the k-major layout the conv dW GEMM reads
+/// in place.)
 void unfold_padded(const float* padded, const Conv2dGeometry& geometry, float* columns,
                    std::size_t row_stride);
-
-/// Fold a [patch_size, out_h*out_w] matrix back, accumulating into the image.
-void col2im(const Tensor& columns, const Conv2dGeometry& geometry,
-            std::span<float> image);
-
-// Branch-free unfold and fold (the blocked Conv2d path). They work on a
-// zero-bordered copy of one image, [C, H + 2*pad, W + 2*pad] ("padded"), so
-// no source coordinate is ever out of range: each unfold row is a run of
-// out_w reads at a fixed stride and each fold row a run of out_w adds. The
-// bits equal im2col/col2im: the unfold copies the same values (border cells
-// are +0, which im2col writes), and the fold adds the same values into every
-// pixel in the same (row, oy, ox) order starting from +0; it also adds into
-// border cells, which are then dropped.
-
-/// Floats in one padded image.
-[[nodiscard]] std::size_t padded_size(const Conv2dGeometry& geometry) noexcept;
-
-/// Write the padded copy of `image` (C*H*W) to `padded` (every cell).
-void pad_image(std::span<const float> image, const Conv2dGeometry& geometry,
-               float* padded);
-
-/// Unfold a padded image: row r = (c, ky, kx) of its [patch_size, out_h*out_w]
-/// matrix lands at columns + r * row_stride. (transpose_block turns it into
-/// the k-major layout the conv dW GEMM reads in place.)
-void unfold_padded(const float* padded, const Conv2dGeometry& geometry, float* columns,
-                   std::size_t row_stride);
-
-/// The same matrix transposed (k-major): the patch_size values of output
-/// pixel q land contiguously at rows + q * patch_size. The conv dW GEMM reads
-/// this layout in place.
-void unfold_padded_kmajor(const float* padded, const Conv2dGeometry& geometry,
-                          float* rows);
 
 /// Fold a [patch_size, out_h*out_w] matrix (row r at columns + r * row_stride)
 /// into `padded`: zero it, then accumulate in col2im's order.
@@ -161,27 +125,5 @@ void fold_padded(const float* columns, std::size_t row_stride,
 /// Copy the interior of a padded image to `image` (C*H*W).
 void crop_image(const float* padded, const Conv2dGeometry& geometry,
                 std::span<float> image);
-
-// Batch-level unfold: the whole minibatch becomes ONE
-// [patch_size, batch * out_h * out_w] matrix (sample s owns the contiguous
-// column range [s * out_h * out_w, (s+1) * out_h * out_w)), so a Conv2d
-// forward is a single large GEMM instead of `batch` small ones. These
-// entry points run the branch-free kernels above on a scratch padded copy;
-// the per-sample ones write disjoint column ranges.
-
-/// Unfold sample `sample` of batch[batch_n, C*H*W] into its column slice of
-/// columns[patch_size, batch_n * out_h*out_w].
-void im2col_batch_sample(std::span<const float> image, const Conv2dGeometry& geometry,
-                         std::size_t batch_n, std::size_t sample, Tensor& columns);
-
-/// Unfold every sample (serial convenience wrapper over im2col_batch_sample).
-void im2col_batch(const Tensor& batch, const Conv2dGeometry& geometry, Tensor& columns);
-
-/// Fold sample `sample`'s column slice of columns[patch_size, batch_n * oh*ow]
-/// back and add it to that sample's image (C*H*W flattened). Into a zero
-/// image the bits equal col2im's.
-void col2im_batch_sample(const Tensor& columns, const Conv2dGeometry& geometry,
-                         std::size_t batch_n, std::size_t sample,
-                         std::span<float> image);
 
 }  // namespace fedsched::tensor::ops

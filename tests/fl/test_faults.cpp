@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -340,6 +341,27 @@ TEST(RunnerFaults, DeadlineDropsStragglerAndCapsRoundTime) {
   EXPECT_EQ(record.client_seconds[0], slow);
 }
 
+TEST(RunnerFaults, RejectsNanOrNonPositiveDeadline) {
+  // +inf is the no-deadline value. A NaN deadline would silently run as no
+  // deadline, and a non-positive one drops every client and reports a round
+  // time <= 0; the runner and the one-epoch simulation reject both, as a
+  // coordinator spec does.
+  Fixture f;
+  for (const double deadline : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    FlConfig config;
+    config.deadline_s = deadline;
+    EXPECT_THROW(FedAvgRunner(f.train, f.test, f.spec, device::lenet_desc(), f.phones,
+                              device::NetworkType::kWifi, config),
+                 std::invalid_argument)
+        << deadline;
+    EXPECT_THROW((void)core::simulate_epoch_faulty(f.phones, device::lenet_desc(),
+                                                   device::NetworkType::kWifi,
+                                                   {100, 100, 100}, FaultConfig{}, deadline),
+                 std::invalid_argument)
+        << deadline;
+  }
+}
+
 TEST(RunnerFaults, BatteryDeathIsPermanent) {
   Fixture f;
   FaultConfig faults;
@@ -455,15 +477,26 @@ TEST(FaultDeterminism, FedAvgParallelWidthsBitIdenticalUnderFaults) {
 // core::simulate_epoch_faulty.
 
 TEST(SimulateEpochFaulty, FaultFreeMatchesSimulateEpoch) {
+  // A fault-free epoch charges each client comm + train seconds on a fresh
+  // device, bit for bit, whichever entry point runs it.
   const std::vector<device::PhoneModel> phones = {device::PhoneModel::kNexus6,
                                                   device::PhoneModel::kPixel2};
   const auto model = device::lenet_desc();
   const std::vector<std::size_t> counts = {400, 800};
+  std::vector<double> expected;
+  for (std::size_t u = 0; u < phones.size(); ++u) {
+    device::Device dev(phones[u], device::NetworkType::kWifi);
+    const double comm = dev.comm_seconds(model);
+    expected.push_back(comm + dev.train(model, counts[u]));
+  }
   const auto plain = core::simulate_epoch(phones, model,
                                           device::NetworkType::kWifi, counts);
   const auto faulty = core::simulate_epoch_faulty(
       phones, model, device::NetworkType::kWifi, counts, FaultConfig{});
-  EXPECT_EQ(faulty.epoch.client_seconds, plain.client_seconds);
+  EXPECT_EQ(plain.client_seconds, expected);
+  EXPECT_EQ(plain.makespan, std::max(expected[0], expected[1]));
+  EXPECT_EQ(plain.mean, (expected[0] + expected[1]) / 2.0);
+  EXPECT_EQ(faulty.epoch.client_seconds, expected);
   EXPECT_EQ(faulty.epoch.makespan, plain.makespan);
   EXPECT_EQ(faulty.epoch.mean, plain.mean);
   EXPECT_EQ(faulty.completed, 2u);

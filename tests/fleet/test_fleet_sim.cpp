@@ -341,5 +341,32 @@ TEST(FleetSim, Validation) {
   EXPECT_THROW(FleetSimulator(std::move(nan_comm), config), std::invalid_argument);
 }
 
+TEST(FleetSim, RejectsOutOfRangeDeadlineDropoutAndFloor) {
+  // The ranges parse_fleet enforces on a coordinator fleet spec, so a CLI
+  // fleet run fails on the values a coordinator run fails on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double deadline : {0.0, -3.0, nan}) {
+    FleetSimConfig config;
+    config.deadline_s = deadline;
+    EXPECT_THROW(FleetSimulator(tiny_fleet(), config), std::invalid_argument) << deadline;
+  }
+  for (const double dropout : {-0.1, 1.5, nan}) {
+    FleetSimConfig config;
+    config.dropout_prob = dropout;
+    EXPECT_THROW(FleetSimulator(tiny_fleet(), config), std::invalid_argument) << dropout;
+  }
+  for (const double floor : {-0.5, 1.0, 1.5, nan}) {
+    FleetSimConfig config;
+    config.battery_floor_soc = floor;
+    EXPECT_THROW(FleetSimulator(tiny_fleet(), config), std::invalid_argument) << floor;
+  }
+  // The closed ends stay valid: no deadline, certain dropout, a zero floor.
+  FleetSimConfig edges;
+  edges.deadline_s = std::numeric_limits<double>::infinity();
+  edges.dropout_prob = 1.0;
+  edges.battery_floor_soc = 0.0;
+  EXPECT_NO_THROW(FleetSimulator(tiny_fleet(), edges));
+}
+
 }  // namespace
 }  // namespace fedsched::fleet

@@ -214,25 +214,6 @@ TEST(DeterminismMatrix, FedAvgOffPolicyLeavesBytesUntouched) {
   EXPECT_EQ(baseline.trace, sink.str()) << "off policy altered trace bytes";
 }
 
-TEST(DeterminismMatrix, FedAvgReferenceKernels1v4BitIdentical) {
-  // KernelPolicy::kReference must honor the same contract as the default
-  // blocked kernels (carried over from the old per-runner suite).
-  Fixture f;
-  f.spec.kernels = tensor::ops::KernelPolicy::kReference;
-  const auto partition = f.partition();
-  const Axes plain{false, false};
-  const FedAvgRun serial = run_fedavg(f, partition, plain, 1);
-  const FedAvgRun parallel = run_fedavg(f, partition, plain, 4);
-  expect_identical_rounds(serial.result.rounds, parallel.result.rounds);
-  ASSERT_EQ(serial.params.size(), parallel.params.size());
-  std::size_t mismatched = 0;
-  for (std::size_t i = 0; i < serial.params.size(); ++i) {
-    mismatched += (serial.params[i] != parallel.params[i]);
-  }
-  EXPECT_EQ(mismatched, 0u) << "final flat params differ (reference kernels)";
-  EXPECT_EQ(serial.trace, parallel.trace);
-}
-
 TEST(DeterminismMatrix, FedAvgHardwareWidthMatchesToo) {
   // parallelism = 0 (hardware concurrency, whatever this host has) must
   // agree with the serial path, including under faults + replication.

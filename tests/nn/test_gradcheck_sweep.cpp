@@ -24,15 +24,12 @@ struct SweepCase {
 
 // Without a printer gtest prints the raw bytes, name pointer included, into
 // the ctest names, which then change with every process.
-void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << '(' << c.name << ", " << c.channels << 'x' << c.hw << 'x' << c.hw << ", "
+      << c.classes << " classes, width " << c.width << ", batch " << c.batch << ')';
+}
 
-using KernelPolicy = tensor::ops::KernelPolicy;
-
-// Every architecture case runs under BOTH kernel policies: the blocked
-// production path and the naive reference path must each pass the same
-// finite-difference check independently (not merely agree with each other).
-class ModelGradcheck
-    : public ::testing::TestWithParam<std::tuple<SweepCase, KernelPolicy>> {};
+class ModelGradcheck : public ::testing::TestWithParam<SweepCase> {};
 
 /// Loss of the model on a fixed batch (for finite differencing).
 double batch_loss(Model& model, const Tensor& x,
@@ -42,7 +39,7 @@ double batch_loss(Model& model, const Tensor& x,
 }
 
 TEST_P(ModelGradcheck, BackwardMatchesFiniteDifferences) {
-  const auto [c, policy] = GetParam();
+  const SweepCase& c = GetParam();
   common::Rng rng(std::hash<std::string_view>{}(c.name));
   ModelSpec spec;
   spec.arch = c.arch;
@@ -50,9 +47,7 @@ TEST_P(ModelGradcheck, BackwardMatchesFiniteDifferences) {
   spec.in_h = spec.in_w = c.hw;
   spec.classes = c.classes;
   spec.width = c.width;
-  spec.kernels = policy;
   Model model = build_model(spec, rng);
-  ASSERT_EQ(model.kernels(), policy);
 
   const Tensor x = Tensor::randn({c.batch, c.channels * c.hw * c.hw}, rng);
   std::vector<std::uint16_t> labels(c.batch);
@@ -99,29 +94,27 @@ TEST_P(ModelGradcheck, BackwardMatchesFiniteDifferences) {
   EXPECT_LE(outliers, errors.size() / 16) << "kink outliers for " << c.name;
 }
 
+// Instance names end in "_blocked", the GEMM engine every layer runs; the
+// suffix keeps the ctest names the sweep has always had.
 INSTANTIATE_TEST_SUITE_P(
     Architectures, ModelGradcheck,
-    ::testing::Combine(
-        ::testing::Values(SweepCase{"lenet-mono", Arch::kLeNet, 1, 8, 4, 1, 3},
-                          SweepCase{"lenet-rgb", Arch::kLeNet, 3, 8, 10, 1, 2},
-                          SweepCase{"lenet-wide", Arch::kLeNet, 1, 12, 10, 2, 2},
-                          SweepCase{"vgg6-mono", Arch::kVgg6, 1, 12, 4, 1, 2},
-                          SweepCase{"vgg6-rgb", Arch::kVgg6, 3, 8, 10, 1, 2},
-                          // Batches that do not divide evenly across Conv2d's
-                          // sample chunks (grain 8): 13 -> chunks of 7 and 6,
-                          // 9 -> chunks of 5 and 4. Exercises the uneven tail
-                          // of the parallel im2col/GEMM path.
-                          SweepCase{"lenet-batch13", Arch::kLeNet, 1, 8, 4, 1, 13},
-                          SweepCase{"vgg6-batch9", Arch::kVgg6, 1, 12, 4, 1, 9}),
-        ::testing::Values(KernelPolicy::kBlocked, KernelPolicy::kReference)),
+    ::testing::Values(SweepCase{"lenet-mono", Arch::kLeNet, 1, 8, 4, 1, 3},
+                      SweepCase{"lenet-rgb", Arch::kLeNet, 3, 8, 10, 1, 2},
+                      SweepCase{"lenet-wide", Arch::kLeNet, 1, 12, 10, 2, 2},
+                      SweepCase{"vgg6-mono", Arch::kVgg6, 1, 12, 4, 1, 2},
+                      SweepCase{"vgg6-rgb", Arch::kVgg6, 3, 8, 10, 1, 2},
+                      // Batches that do not divide evenly across Conv2d's
+                      // sample chunks (grain 8): 13 -> chunks of 7 and 6,
+                      // 9 -> chunks of 5 and 4. Exercises the uneven tail
+                      // of the parallel im2col/GEMM path.
+                      SweepCase{"lenet-batch13", Arch::kLeNet, 1, 8, 4, 1, 13},
+                      SweepCase{"vgg6-batch9", Arch::kVgg6, 1, 12, 4, 1, 9}),
     [](const auto& info) {
-      std::string name = std::get<0>(info.param).name;
+      std::string name = info.param.name;
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
-      name += '_';
-      name += tensor::ops::kernel_policy_name(std::get<1>(info.param));
-      return name;
+      return name + "_blocked";
     });
 
 class SgdStability : public ::testing::TestWithParam<float> {};

@@ -263,34 +263,61 @@ TEST(Conv2d, DroppedColumnsNeedTheTrainingBatch) {
 }
 
 TEST(Conv2d, ReferencePolicyMatchesBlockedForwardBackward) {
-  // The two kernel policies implement the same layer: outputs and gradients
-  // must agree tightly (bitwise is not guaranteed across policies — the
-  // blocked path computes dW as one GEMM, the reference path as per-sample
-  // partial sums — so compare within a small absolute/relative band).
+  // The layer against a per-sample oracle built from the naive kernels: for
+  // each sample s, cols = im2col(x_s), y_s = W cols + b, dW += dY_s cols^T,
+  // db += the row sums of dY_s and dX_s = col2im(W^T dY_s). Bitwise agreement
+  // is not guaranteed (the layer computes dW as one GEMM over the batch, the
+  // oracle as per-sample partial sums), so compare within a small band.
+  namespace ops = tensor::ops;
   common::Rng rng(17);
-  const Tensor x = Tensor::randn({4, 2 * 6 * 6}, rng);
+  const ops::Conv2dGeometry g = geom(2, 6, 3, 1);
+  constexpr std::size_t kOutChannels = 3, kBatch = 4;
+  const std::size_t features = 2 * 6 * 6;
+  const std::size_t patch = g.patch_size(), spatial = g.out_h() * g.out_w();
+  const Tensor x = Tensor::randn({kBatch, features}, rng);
 
-  auto run_policy = [&](tensor::ops::KernelPolicy policy) {
-    common::Rng layer_rng(18);
-    Conv2d layer(geom(2, 6, 3, 1), 3, layer_rng, policy);
-    const Tensor out = layer.forward(x, /*train=*/true);
-    const Tensor dx = layer.backward(objective_grad(out));
-    std::vector<float> flat(out.data().begin(), out.data().end());
-    flat.insert(flat.end(), dx.data().begin(), dx.data().end());
-    for (const Param& p : layer.params()) {
-      flat.insert(flat.end(), p.grad->data().begin(), p.grad->data().end());
+  common::Rng layer_rng(18);
+  Conv2d layer(g, kOutChannels, layer_rng);
+  const auto params = layer.params();
+  *params[1].value = Tensor::randn({kOutChannels}, layer_rng);  // init is zero
+  const Tensor& weight = *params[0].value;
+  const Tensor& bias = *params[1].value;
+  const Tensor out = layer.forward(x, /*train=*/true);
+  const Tensor dx = layer.backward(objective_grad(out));
+  const Tensor& dy = out;  // objective_grad is the identity
+
+  Tensor want_out({kBatch, kOutChannels * spatial}), want_dx({kBatch, features});
+  Tensor want_dw({kOutChannels, patch}), want_db({kOutChannels});
+  Tensor cols({patch, spatial}), y({kOutChannels, spatial}), dy_s({kOutChannels, spatial});
+  Tensor dw_s({kOutChannels, patch}), dcols({patch, spatial});
+  for (std::size_t s = 0; s < kBatch; ++s) {
+    ops::im2col(x.data().subspan(s * features, features), g, cols);
+    ops::matmul_ref(weight, cols, y);
+    for (std::size_t c = 0; c < kOutChannels; ++c) {
+      for (std::size_t p = 0; p < spatial; ++p) {
+        want_out.at({s, c * spatial + p}) = y.at({c, p}) + bias[c];
+        dy_s.at({c, p}) = dy.at({s, c * spatial + p});
+        want_db[c] += dy_s.at({c, p});
+      }
     }
-    return flat;
-  };
-
-  const auto blocked = run_policy(tensor::ops::KernelPolicy::kBlocked);
-  const auto reference = run_policy(tensor::ops::KernelPolicy::kReference);
-  ASSERT_EQ(blocked.size(), reference.size());
-  for (std::size_t i = 0; i < blocked.size(); ++i) {
-    const double scale = std::max({std::abs(static_cast<double>(blocked[i])),
-                                   std::abs(static_cast<double>(reference[i])), 1.0});
-    EXPECT_NEAR(blocked[i], reference[i], 1e-4 * scale) << "element " << i;
+    ops::matmul_nt_ref(dy_s, cols, dw_s);
+    want_dw += dw_s;
+    ops::matmul_tn_ref(weight, dy_s, dcols);
+    ops::col2im(dcols, g, want_dx.data().subspan(s * features, features));
   }
+
+  const auto expect_near = [](const Tensor& got, const Tensor& want, const char* what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      const double scale = std::max({std::abs(static_cast<double>(got[i])),
+                                     std::abs(static_cast<double>(want[i])), 1.0});
+      EXPECT_NEAR(got[i], want[i], 1e-4 * scale) << what << " element " << i;
+    }
+  };
+  expect_near(out, want_out, "output");
+  expect_near(dx, want_dx, "dX");
+  expect_near(*params[0].grad, want_dw, "dW");
+  expect_near(*params[1].grad, want_db, "db");
 }
 
 TEST(ReLU, ForwardClampsNegatives) {

@@ -132,62 +132,52 @@ TEST(Model, StandaloneLayersReturnFullInputGradient) {
   geometry.in_h = geometry.in_w = 5;
   geometry.kernel = 3;
   geometry.pad = 1;
-  for (auto policy : {tensor::ops::KernelPolicy::kBlocked,
-                      tensor::ops::KernelPolicy::kReference}) {
-    Conv2d conv(geometry, 3, rng, policy);
-    EXPECT_TRUE(conv.input_grad());
-    const Tensor cy = conv.forward(Tensor::randn({2, 50}, rng), true);
-    EXPECT_EQ(conv.backward(cy).shape(), (tensor::Shape{2, 50}));
+  Conv2d conv(geometry, 3, rng);
+  EXPECT_TRUE(conv.input_grad());
+  const Tensor cy = conv.forward(Tensor::randn({2, 50}, rng), true);
+  EXPECT_EQ(conv.backward(cy).shape(), (tensor::Shape{2, 50}));
 
-    Dense dense(6, 4, rng, policy);
-    EXPECT_TRUE(dense.input_grad());
-    const Tensor dy = dense.forward(Tensor::randn({3, 6}, rng), true);
-    EXPECT_EQ(dense.backward(dy).shape(), (tensor::Shape{3, 6}));
-  }
+  Dense dense(6, 4, rng);
+  EXPECT_TRUE(dense.input_grad());
+  const Tensor dy = dense.forward(Tensor::randn({3, 6}, rng), true);
+  EXPECT_EQ(dense.backward(dy).shape(), (tensor::Shape{3, 6}));
 }
 
 TEST(Model, ParamGradsIgnoreLayerZeroInputGrad) {
   // Switching layer 0's input gradient back on must not move one bit of any
-  // parameter gradient: Conv2d first (LeNet, VGG6) and Dense first (MLP), on
-  // either kernel family.
+  // parameter gradient: Conv2d first (LeNet, VGG6) and Dense first (MLP).
   constexpr std::size_t kFeatures = 144;  // ModelSpec's default 12x12 input
   constexpr std::size_t kClasses = 10;
-  for (auto policy : {tensor::ops::KernelPolicy::kBlocked,
-                      tensor::ops::KernelPolicy::kReference}) {
-    for (const char* arch : {"LeNet", "VGG6", "MLP"}) {
-      const auto build = [&] {
-        common::Rng rng(24);
-        if (std::string_view(arch) == "MLP") {
-          return build_mlp(kFeatures, {32}, kClasses, rng, policy);
-        }
-        ModelSpec spec;
-        spec.arch = std::string_view(arch) == "LeNet" ? Arch::kLeNet : Arch::kVgg6;
-        spec.kernels = policy;
-        return build_model(spec, rng);
-      };
-      Model skip = build();
-      Model full = build();
-      full.layer(0).set_input_grad(true);
+  for (const char* arch : {"LeNet", "VGG6", "MLP"}) {
+    const auto build = [&] {
+      common::Rng rng(24);
+      if (std::string_view(arch) == "MLP") return build_mlp(kFeatures, {32}, kClasses, rng);
+      ModelSpec spec;
+      spec.arch = std::string_view(arch) == "LeNet" ? Arch::kLeNet : Arch::kVgg6;
+      return build_model(spec, rng);
+    };
+    Model skip = build();
+    Model full = build();
+    full.layer(0).set_input_grad(true);
 
-      common::Rng data_rng(25);
-      const Tensor x = Tensor::randn({20, kFeatures}, data_rng);
-      std::vector<std::uint16_t> labels(20);
-      for (std::size_t i = 0; i < labels.size(); ++i) {
-        labels[i] = static_cast<std::uint16_t>(i % kClasses);
-      }
-      for (Model* model : {&skip, &full}) {
-        const auto loss = softmax_cross_entropy(model->forward(x, true), labels);
-        model->backward(loss.grad);
-      }
-      const auto a = skip.flat_grads();
-      const auto b = full.flat_grads();
-      ASSERT_EQ(a.size(), b.size());
-      std::size_t differing = 0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        differing += std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]);
-      }
-      EXPECT_EQ(differing, 0u) << arch << " " << tensor::ops::kernel_policy_name(policy);
+    common::Rng data_rng(25);
+    const Tensor x = Tensor::randn({20, kFeatures}, data_rng);
+    std::vector<std::uint16_t> labels(20);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<std::uint16_t>(i % kClasses);
     }
+    for (Model* model : {&skip, &full}) {
+      const auto loss = softmax_cross_entropy(model->forward(x, true), labels);
+      model->backward(loss.grad);
+    }
+    const auto a = skip.flat_grads();
+    const auto b = full.flat_grads();
+    ASSERT_EQ(a.size(), b.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      differing += std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]);
+    }
+    EXPECT_EQ(differing, 0u) << arch;
   }
 }
 

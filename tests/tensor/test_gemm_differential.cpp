@@ -144,6 +144,18 @@ TEST(GemmDifferential, RandomizedShapeSweep) {
   }
 }
 
+/// Unfold every sample of batch[N, C*H*W] into columns[patch, N*spatial] as
+/// Conv2d does: pad the sample, then unfold it at column offset s * spatial.
+void unfold_batch(const Tensor& batch, const Conv2dGeometry& g, Tensor& columns) {
+  const std::size_t n = batch.dim(0), features = batch.dim(1);
+  const std::size_t spatial = g.out_h() * g.out_w();
+  std::vector<float> padded(padded_size(g));
+  for (std::size_t s = 0; s < n; ++s) {
+    pad_image(batch.data().subspan(s * features, features), g, padded.data());
+    unfold_padded(padded.data(), g, columns.raw() + s * spatial, n * spatial);
+  }
+}
+
 TEST(GemmDifferential, ConvGeometryShapes) {
   // GEMMs exactly as the blocked Conv2d issues them: weight[out_c, patch]
   // times the batch-level im2col matrix [patch, batch*out_h*out_w], over
@@ -173,7 +185,7 @@ TEST(GemmDifferential, ConvGeometryShapes) {
     const Tensor batch =
         Tensor::randn({c.batch, g.in_channels * g.in_h * g.in_w}, rng);
     Tensor cols({g.patch_size(), ns});
-    im2col_batch(batch, g, cols);
+    unfold_batch(batch, g, cols);
     const Tensor weight = Tensor::randn({c.out_c, g.patch_size()}, rng);
 
     Tensor blocked({c.out_c, ns}), reference({c.out_c, ns});
@@ -197,8 +209,9 @@ TEST(GemmDifferential, ConvGeometryShapes) {
 }
 
 TEST(GemmDifferential, BatchIm2colMatchesPerSample) {
-  // The batch-level unfold must reproduce the per-sample unfold bit-for-bit:
-  // sample s of the batch matrix is exactly im2col(sample s).
+  // The batch-level unfold Conv2d runs must reproduce the per-sample
+  // reference unfold bit-for-bit: sample s of the batch matrix is exactly
+  // im2col(sample s).
   Conv2dGeometry g;
   g.in_channels = 3;
   g.in_h = g.in_w = 9;
@@ -212,7 +225,7 @@ TEST(GemmDifferential, BatchIm2colMatchesPerSample) {
   common::Rng rng(5);
   const Tensor x = Tensor::randn({batch, features}, rng);
   Tensor cols_batch({g.patch_size(), batch * spatial});
-  im2col_batch(x, g, cols_batch);
+  unfold_batch(x, g, cols_batch);
 
   Tensor cols_one({g.patch_size(), spatial});
   for (std::size_t s = 0; s < batch; ++s) {

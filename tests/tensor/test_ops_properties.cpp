@@ -73,6 +73,18 @@ struct ConvCase {
 
 class ConvGeometries : public ::testing::TestWithParam<ConvCase> {};
 
+/// Unfold every sample of batch[N, C*H*W] into columns[patch, N*spatial] as
+/// Conv2d does: pad the sample, then unfold it at column offset s * spatial.
+void unfold_batch(const Tensor& batch, const Conv2dGeometry& g, Tensor& columns) {
+  const std::size_t n = batch.dim(0), features = batch.dim(1);
+  const std::size_t spatial = g.out_h() * g.out_w();
+  std::vector<float> padded(padded_size(g));
+  for (std::size_t s = 0; s < n; ++s) {
+    pad_image(batch.data().subspan(s * features, features), g, padded.data());
+    unfold_padded(padded.data(), g, columns.raw() + s * spatial, n * spatial);
+  }
+}
+
 TEST_P(ConvGeometries, Im2colCol2imAdjoint) {
   const ConvCase c = GetParam();
   Conv2dGeometry g;
@@ -103,11 +115,12 @@ TEST_P(ConvGeometries, Im2colCol2imAdjoint) {
 }
 
 TEST_P(ConvGeometries, BatchIm2colCol2imAdjoint) {
-  // Adjointness of the batch-level unfold pair: for every geometry,
-  // <im2col_batch(x), y> == <x, col2im_batch(y)> where the inner products run
-  // over the whole [patch, batch*spatial] matrix and the whole batch. This is
-  // the same linear-operator property the per-sample test pins, applied to
-  // the new single-matrix path the blocked Conv2d uses.
+  // Adjointness of the batch-level unfold pair Conv2d runs: for every
+  // geometry, <unfold(x), y> == <x, fold(y)> where the inner products run
+  // over the whole [patch, batch*spatial] matrix and the whole batch, the
+  // unfold is pad_image + unfold_padded and the fold fold_padded +
+  // crop_image per sample. This is the same linear-operator property the
+  // per-sample test pins, applied to the single-matrix batch layout.
   const ConvCase c = GetParam();
   Conv2dGeometry g;
   g.in_channels = c.channels;
@@ -122,12 +135,14 @@ TEST_P(ConvGeometries, BatchIm2colCol2imAdjoint) {
   common::Rng rng(c.channels * 7919 + c.hw * 13 + c.kernel);
   const Tensor x = Tensor::randn({batch, features}, rng);
   Tensor cols({g.patch_size(), batch * spatial});
-  im2col_batch(x, g, cols);
+  unfold_batch(x, g, cols);
 
   const Tensor y = Tensor::randn(cols.shape(), rng);
   Tensor back({batch, features});
+  std::vector<float> padded(padded_size(g));
   for (std::size_t s = 0; s < batch; ++s) {
-    col2im_batch_sample(y, g, batch, s, back.data().subspan(s * features, features));
+    fold_padded(y.raw() + s * spatial, batch * spatial, g, padded.data());
+    crop_image(padded.data(), g, back.data().subspan(s * features, features));
   }
 
   double lhs = 0.0, rhs = 0.0;
@@ -141,9 +156,9 @@ TEST_P(ConvGeometries, BatchIm2colCol2imAdjoint) {
 }
 
 TEST_P(ConvGeometries, BatchAndPerSampleUnfoldAgreeBitwise) {
-  // Old path (per-sample im2col) and new path (batch-level im2col) must
-  // produce identical bits — the blocked Conv2d relies on sample s owning
-  // exactly the column range [s*spatial, (s+1)*spatial).
+  // The per-sample reference im2col and the batch-level unfold Conv2d runs
+  // must produce identical bits — Conv2d relies on sample s owning exactly
+  // the column range [s*spatial, (s+1)*spatial).
   const ConvCase c = GetParam();
   Conv2dGeometry g;
   g.in_channels = c.channels;
@@ -158,7 +173,7 @@ TEST_P(ConvGeometries, BatchAndPerSampleUnfoldAgreeBitwise) {
   common::Rng rng(c.channels + c.hw + c.kernel);
   const Tensor x = Tensor::randn({batch, features}, rng);
   Tensor cols_batch({g.patch_size(), batch * spatial});
-  im2col_batch(x, g, cols_batch);
+  unfold_batch(x, g, cols_batch);
 
   Tensor cols_one({g.patch_size(), spatial});
   for (std::size_t s = 0; s < batch; ++s) {
